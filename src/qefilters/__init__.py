@@ -62,7 +62,6 @@ from .training import (
     AdamW,
     LinearHead,
     MlpHead,
-    SegHeadParams,
     TrainConfig,
     TrainReport,
     adam_step,

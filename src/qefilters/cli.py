@@ -158,15 +158,18 @@ def _cmd_train(args) -> int:
     train_cube, train_labels = _read_labeled(train_path)
     val_cube, val_labels = _read_labeled(val_path)
     num_classes = max(train_labels.num_classes, val_labels.num_classes)
+    # The two files may mark unlabeled pixels differently; train takes one value.
+    ignore = train_labels.ignore_value
+    val_values = np.where(val_labels.values == val_labels.ignore_value, ignore, val_labels.values)
 
     report = train(
         (train_cube, train_labels.values),
-        (val_cube, val_labels.values),
+        (val_cube, val_values),
         num_filters,
         peaks,
         config,
         num_classes=num_classes,
-        ignore=train_labels.ignore_value,
+        ignore=ignore,
     )
     out = _out_dir(args.out)
     (out / "report.json").write_text(report.to_json())

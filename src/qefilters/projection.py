@@ -7,9 +7,10 @@ convention), the Gaussian envelope, the skew transform, and the raw-parameter
 mappings, instead of relying on tape-based autodiff; a finite-difference
 oracle in the test suite guards the derivation.
 
-All arithmetic is 64-bit. Reductions over the pixel axis use numpy's pairwise
-summation in a fixed tree order, so results are reduction-order-deterministic
-regardless of BLAS threading.
+All arithmetic is 64-bit. Reductions over the pixel axis are plain
+``np.einsum`` (no ``optimize=``) or ``np.sum`` calls, whose summation order is
+fixed by the array shapes; no BLAS routine runs on the training path, so
+results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -122,20 +123,6 @@ def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> Reduce
     return ReducedCube(reduced)
 
 
-def _pixel_contraction(upstream: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Sum over (b, h, w) of upstream[b,f,h,w] * data[b,c,h,w] -> (F, C).
-
-    One pairwise np.sum per filter keeps the reduction tree fixed and the
-    temporaries at the size of the input cube.
-    """
-    num_filters = upstream.shape[1]
-    num_channels = data.shape[1]
-    out = np.empty((num_filters, num_channels))
-    for f in range(num_filters):
-        out[f] = np.sum(upstream[:, f, None, :, :] * data, axis=(0, 2, 3))
-    return out
-
-
 def backward(
     cube: Hypercube,
     cached: FilterResponseMatrix,
@@ -171,7 +158,7 @@ def backward(
             f"cached response has {num_channels} channels but cube has {cube.dims[1]}"
         )
 
-    grad_q = _pixel_contraction(upstream, cube.data)  # (F, C)
+    grad_q = np.einsum("bfhw,bchw->fc", upstream, cube.data)
 
     # Quotient rule through Q = raw / (row_max + eps) with the subgradient max.
     denom = cached.row_max + EPSILON

@@ -38,32 +38,6 @@ from .rng import make_generator
 # Segmentation heads
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SegHeadParams:
-    """Parameters of the per-pixel linear softmax head."""
-
-    weight: np.ndarray  # (K, F)
-    bias: np.ndarray  # (K,)
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ConfigurationError(
-                f"inconsistent head shapes: weight {self.weight.shape}, bias {self.bias.shape}"
-            )
-        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
-            raise ConfigurationError("head parameters contain non-finite values")
-
-
-def _sum_pixels(grad: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    # sum over (b, h, w) of grad[b,k,h,w] * feats[b,f,h,w] -> (K, F)
-    out = np.empty((grad.shape[1], feats.shape[1]))
-    for k in range(grad.shape[1]):
-        out[k] = np.sum(grad[:, k, None, :, :] * feats, axis=(0, 2, 3))
-    return out
-
-
 class LinearHead:
     """Per-pixel K-way linear classifier on the reduced channels."""
 
@@ -80,9 +54,6 @@ class LinearHead:
         self.weight = params["weight"].copy()
         self.bias = params["bias"].copy()
 
-    def seg_head_params(self) -> SegHeadParams:
-        return SegHeadParams(self.weight.copy(), self.bias.copy())
-
     def forward(self, feats: np.ndarray):
         logits = np.einsum("kf,bfhw->bkhw", self.weight, feats) + self.bias[None, :, None, None]
         return logits, feats
@@ -90,7 +61,7 @@ class LinearHead:
     def backward(self, cache, d_logits: np.ndarray):
         feats = cache
         grads = {
-            "weight": _sum_pixels(d_logits, feats),
+            "weight": np.einsum("bkhw,bfhw->kf", d_logits, feats),
             "bias": np.sum(d_logits, axis=(0, 2, 3)),
         }
         d_feats = np.einsum("kf,bkhw->bfhw", self.weight, d_logits)
@@ -130,9 +101,9 @@ class MlpHead:
         feats, hidden = cache
         d_hidden = np.einsum("kj,bkhw->bjhw", self.w2, d_logits) * (1.0 - hidden**2)
         grads = {
-            "w1": _sum_pixels(d_hidden, feats),
+            "w1": np.einsum("bjhw,bfhw->jf", d_hidden, feats),
             "b1": np.sum(d_hidden, axis=(0, 2, 3)),
-            "w2": _sum_pixels(d_logits, hidden),
+            "w2": np.einsum("bkhw,bjhw->kj", d_logits, hidden),
             "b2": np.sum(d_logits, axis=(0, 2, 3)),
         }
         d_feats = np.einsum("jf,bjhw->bfhw", self.w1, d_hidden)
@@ -167,6 +138,17 @@ def _check_labels(labels: np.ndarray, num_classes: int, ignore: int) -> np.ndarr
     return mask
 
 
+def _onehot_targets(labels: np.ndarray, num_classes: int, ignore: int) -> np.ndarray:
+    """(B, K, H, W) boolean one-hot targets, all False on ignored pixels.
+
+    The ignore value may lie inside [0, K), so the one-hot is masked rather
+    than trusted to miss it.
+    """
+    mask = _check_labels(labels, num_classes, ignore)
+    classes = np.arange(num_classes)[:, None, None]
+    return (np.asarray(labels)[:, None] == classes) & mask[:, None]
+
+
 def weighted_cross_entropy(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -184,23 +166,19 @@ def weighted_cross_entropy(
         raise ConfigurationError(f"class weights must have shape ({num_classes},)")
     if np.any(weights < 0):
         raise ConfigurationError("class weights must be non-negative")
-    mask = _check_labels(labels, num_classes, ignore)
-    if not mask.any():
+    onehot = _onehot_targets(labels, num_classes, ignore)
+    if not onehot.any():
         raise DataError("all pixels are ignored; cross-entropy undefined")
 
     probs = _softmax(logits)
-    b, h, w = np.nonzero(mask)
-    y = np.asarray(labels)[mask].astype(np.int64)
-    pix_w = weights[y]
+    pix_w = np.sum(onehot * weights[:, None, None], axis=1, keepdims=True)  # zero where ignored
     w_total = pix_w.sum()
     if w_total <= 0:
         raise ConfigurationError("total class weight over present labels is zero")
-    log_p = np.log(np.maximum(probs[b, y, h, w], np.finfo(float).tiny))
+    p_y = np.sum(probs * onehot, axis=1, keepdims=True)
+    log_p = np.log(np.maximum(p_y, np.finfo(float).tiny))
     value = float(-np.sum(pix_w * log_p) / w_total)
-
-    grad = np.zeros_like(logits)
-    grad[b, :, h, w] = probs[b, :, h, w] * (pix_w / w_total)[:, None]
-    grad[b, y, h, w] -= pix_w / w_total
+    grad = (probs - onehot) * (pix_w / w_total)
     return value, grad
 
 
@@ -216,29 +194,23 @@ def soft_dice(
     one-hot targets g and sums over non-ignored pixels.
     """
     num_classes = logits.shape[1]
-    mask = _check_labels(labels, num_classes, ignore)
-    if not mask.any():
+    onehot = _onehot_targets(labels, num_classes, ignore)
+    if not onehot.any():
         raise DataError("all pixels are ignored; Dice undefined")
-    probs = _softmax(logits)
-    b, h, w = np.nonzero(mask)
-    y = np.asarray(labels)[mask].astype(np.int64)
-    p = probs[b, :, h, w]  # (N, K)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(y.size), y] = 1.0
+    p = _softmax(logits) * onehot.any(axis=1, keepdims=True)  # zero where ignored
 
-    overlap = np.sum(p * onehot, axis=0)
-    denom = np.sum(p, axis=0) + np.sum(onehot, axis=0) + smoothing
+    pixels = (0, 2, 3)  # per-class sums, shaped (1, K, 1, 1)
+    overlap = np.sum(p * onehot, axis=pixels, keepdims=True)
+    denom = np.sum(p + onehot, axis=pixels, keepdims=True) + smoothing
     dice_k = (2.0 * overlap + smoothing) / denom
     value = float(1.0 - dice_k.mean())
 
-    # d(value)/dp then through the softmax Jacobian per pixel.
-    d_p = -(2.0 * onehot / denom[None, :] - ((2.0 * overlap + smoothing) / denom**2)[None, :])
+    # d(value)/dp then through the softmax Jacobian per pixel; p = 0 keeps
+    # ignored pixels at zero gradient.
+    d_p = -(2.0 * onehot / denom - (2.0 * overlap + smoothing) / denom**2)
     d_p /= num_classes
     inner = np.sum(d_p * p, axis=1, keepdims=True)
-    d_logits_pix = p * (d_p - inner)
-    grad = np.zeros_like(logits)
-    grad[b, :, h, w] = d_logits_pix
-    return value, grad
+    return value, p * (d_p - inner)
 
 
 def seg_loss(

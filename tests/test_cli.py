@@ -7,6 +7,7 @@ import pytest
 
 from qefilters import (
     FilterBankParams,
+    LabelMap,
     WavelengthRange,
     cli,
     evaluate_filter_bank,
@@ -14,6 +15,7 @@ from qefilters import (
     init_filter_bank,
     normalize_wavelengths,
     read_cube,
+    write_cube,
 )
 
 HYKO = WavelengthRange(470.0, 630.0)
@@ -110,6 +112,35 @@ class TestTrainCommand:
         cli(["train", "--config", str(train_path), "--out", str(tmp_path / "r2")])
         for name in ("report.json", "epochs.csv", "centroids.csv", "filters.json"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+    def test_val_file_with_its_own_ignore_value(self, tmp_path):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        val_cube, val_labels = read_cube(data_dir / "val.hypc")
+        unlabeled = np.zeros(val_labels.values.shape, dtype=bool)
+        unlabeled[:, :3] = True
+        reports = []
+        for ignore in (65535, 255):
+            values = np.where(unlabeled, ignore, val_labels.values)
+            val_path = tmp_path / f"val_{ignore}.hypc"
+            write_cube(val_cube, LabelMap(values, val_labels.num_classes, ignore), val_path)
+            train_doc = {
+                "train_data": str(data_dir / "train.hypc"),
+                "val_data": str(val_path),
+                "num_filters": 1,
+                "peaks_per_filter": 1,
+                "learning_rate": 1e-2,
+                "max_epochs": 4,
+                "patience": 4,
+                "seed": 5,
+            }
+            train_path = tmp_path / f"train_{ignore}.json"
+            train_path.write_text(json.dumps(train_doc))
+            out = tmp_path / f"r{ignore}"
+            assert cli(["train", "--config", str(train_path), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_divergence_exit_code(self, tmp_path):
         config = synth_config(tmp_path)

@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qefilters
 
 from qefilters import (
     ConfigurationError,
@@ -73,6 +81,21 @@ class TestSegLoss:
         assert np.all(grad[0, :, 0, 1] == 0.0)
         assert np.all(grad[0, :, 1, 1] == 0.0)
 
+    def test_ignore_value_inside_class_range(self):
+        from qefilters.metrics import IGNORE_LABEL
+
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(2, 3, 4, 4))
+        labels = rng.integers(0, 3, size=(2, 4, 4))
+        ignored = labels == 1
+        assert ignored.any()
+        weights = np.array([1.0, 2.0, 0.5])
+        value, grad = seg_loss(logits, labels, weights, ignore=1)
+        ref_value, ref_grad = seg_loss(logits, np.where(ignored, IGNORE_LABEL, labels), weights)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+        assert np.all(grad.transpose(0, 2, 3, 1)[ignored] == 0.0)
+
     def test_label_out_of_range(self):
         logits = np.zeros((1, 2, 1, 1))
         with pytest.raises(DataError):
@@ -145,18 +168,6 @@ class TestAdam:
         p = np.array([2.0])
         new_p, _, _ = adam_step(p, np.zeros(1), np.zeros(1), np.zeros(1), 1, lr=0.1, weight_decay=0.5)
         assert new_p[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
-
-
-class TestSegHeadParams:
-    def test_round_trip_and_validation(self):
-        from qefilters import SegHeadParams
-
-        head = make_head("linear", 3, 2, make_generator(7))
-        params = head.seg_head_params()
-        assert params.weight.shape == (3, 2)
-        assert params.bias.shape == (3,)
-        with pytest.raises(ConfigurationError):
-            SegHeadParams(np.zeros((3, 2)), np.zeros(2))
 
 
 class TestClassWeights:
@@ -382,6 +393,30 @@ class TestTrainLoop:
         assert a.centroids_csv() == b.centroids_csv()
         assert a.to_json() == b.to_json()
         assert np.array_equal(a.params.table, b.params.table)
+
+    @pytest.mark.parametrize("head", ["linear", "mlp"])
+    def test_report_independent_of_blas_threads(self, head):
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from qefilters import train\n"
+            "from tasks import planted3_config, planted3_data\n"
+            "(tc, tl), (vc, vl) = planted3_data()\n"
+            "config = replace(planted3_config(seed=0, head=sys.argv[1]), max_epochs=5, patience=5)\n"
+            "sys.stdout.write(train((tc, tl.values), (vc, vl.values), 2, 1, config).to_json())\n"
+        )
+        src_dir = Path(qefilters.__file__).resolve().parent.parent
+        tests_dir = Path(__file__).resolve().parent
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([str(src_dir), str(tests_dir)])
+            done = subprocess.run(
+                [sys.executable, "-c", script, head], env=env, capture_output=True, check=True
+            )
+            reports.append(done.stdout)
+        assert json.loads(reports[0])["epochs_run"] == 5
+        assert reports[0] == reports[1]
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
