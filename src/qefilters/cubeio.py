@@ -37,6 +37,7 @@ from .projection import Hypercube
 MAGIC = b"HYPC"
 LABEL_MAGIC = b"LBLS"
 VERSION = 1
+_U16_MAX = 0xFFFF
 
 
 class CubeFormatError(DataError):
@@ -171,25 +172,52 @@ def parse_cube(blob: bytes) -> tuple[Hypercube, LabelMap | None]:
 
 
 def serialize_cube(cube: Hypercube, labels: LabelMap | None = None) -> bytes:
+    """Encode a cube and optional labels in the byte layout above.
+
+    Raises :class:`DataError`, before any bytes are produced, for anything
+    :func:`parse_cube` would reject, so a successful write reads back equal
+    to its input after float32 rounding of the reflectances.
+    """
     b, c, h, w = cube.dims
+    if min(cube.dims) < 1:
+        raise DataError(f"cube dimensions {cube.dims} include a zero")
+    wavelengths = np.asarray(cube.wavelengths_nm, dtype=float)
+    if not (np.all(np.isfinite(wavelengths)) and np.all(np.diff(wavelengths) > 0)):
+        raise DataError("wavelengths must be finite and strictly increasing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = np.asarray(cube.data).astype("<f4")
+    if not np.all(np.isfinite(data)):
+        raise DataError("reflectance values are not finite as float32")
     parts = [
         MAGIC,
         struct.pack("<H", VERSION),
         struct.pack("<4I", b, c, h, w),
-        cube.wavelengths_nm.astype("<f8").tobytes(),
-        cube.data.astype("<f4").tobytes(),
+        wavelengths.astype("<f8").tobytes(),
+        data.tobytes(),
     ]
     if labels is not None:
         values = np.asarray(labels.values)
         if values.shape != (b, h, w):
             raise DataError(f"label shape {values.shape} does not match cube {(b, h, w)}")
-        if labels.num_classes < 1 or labels.num_classes > IGNORE_LABEL:
-            raise DataError(f"invalid class count {labels.num_classes}")
+        num_classes, ignore = labels.num_classes, labels.ignore_value
+        if not 1 <= num_classes <= _U16_MAX:
+            raise DataError(f"invalid class count {num_classes}")
+        if not 0 <= ignore <= _U16_MAX:
+            raise DataError(f"ignore value {ignore} outside [0, {_U16_MAX}]")
+        with np.errstate(invalid="ignore"):
+            ints = values.astype(np.int64)
+        if not np.array_equal(ints, values):
+            raise DataError("labels must be integers")
+        bad = (ints < 0) | ((ints >= num_classes) & (ints != ignore))
+        if bad.any():
+            raise DataError(
+                f"label {ints[bad][0]} outside [0, {num_classes}) and not the ignore value {ignore}"
+            )
         parts += [
             LABEL_MAGIC,
-            struct.pack("<H", labels.num_classes),
-            struct.pack("<H", labels.ignore_value),
-            values.astype("<u2").tobytes(),
+            struct.pack("<H", num_classes),
+            struct.pack("<H", ignore),
+            ints.astype("<u2").tobytes(),
         ]
     return b"".join(parts)
 

@@ -7,10 +7,20 @@ convention), the Gaussian envelope, the skew transform, and the raw-parameter
 mappings, instead of relying on tape-based autodiff; a finite-difference
 oracle in the test suite guards the derivation.
 
-All arithmetic is 64-bit. Reductions over the pixel axis are plain
-``np.einsum`` (no ``optimize=``) or ``np.sum`` calls, whose summation order is
-fixed by the array shapes; no BLAS routine runs on the training path, so
-results do not depend on the BLAS thread count.
+All arithmetic is 64-bit. Two kinds of contraction run on the training
+path, and each keeps results independent of the BLAS thread count:
+
+- a contraction over the channel (or feature) axis is one BLAS GEMM per image
+  (:func:`_contract_channels`). BLAS splits the output pixels across threads,
+  and each output is one whole dot product over channels computed by one
+  thread, so the thread count does not change it;
+- a reduction over the pixel axis is a plain ``np.einsum`` (no ``optimize=``)
+  or ``np.sum`` call, with no BLAS routine, whose summation order is fixed by
+  the array shapes. A GEMM here would split the pixel sum across threads and
+  change its bytes with the thread count.
+
+``tests/test_training.py::TestTrainLoop::test_report_independent_of_blas_threads``
+trains under one and two BLAS threads and compares the reports byte for byte.
 """
 
 from __future__ import annotations
@@ -108,6 +118,17 @@ class ParamGradients:
         return ParamGradients(self.table + other.table)
 
 
+def _contract_channels(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[b,f,h,w] = sum_c matrix[f,c] * x[b,c,h,w], as one GEMM per image.
+
+    ``matrix`` is (F, C) and may be a transposed view; ``x`` is (B, C, H, W)
+    and may be any view (a non-contiguous one is copied by the reshape).
+    """
+    b, c, h, w = x.shape
+    out = matrix @ x.reshape(b, c, h * w)
+    return out.reshape(b, matrix.shape[0], h, w)
+
+
 def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> ReducedCube:
     """Contract the spectral axis: Y[b,f,h,w] = sum_c weights[f,c] * X[b,c,h,w]."""
     num_filters, num_channels = response.weights.shape
@@ -119,8 +140,7 @@ def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> Reduce
         raise ConfigurationError(
             f"reduction requires fewer filters than channels (F={num_filters}, C={num_channels})"
         )
-    reduced = np.einsum("fc,bchw->bfhw", response.weights, cube.data)
-    return ReducedCube(reduced)
+    return ReducedCube(_contract_channels(response.weights, cube.data))
 
 
 def backward(
@@ -195,5 +215,5 @@ def backward(
 
     input_grad = None
     if compute_input_grad:
-        input_grad = np.einsum("bfhw,fc->bchw", upstream, cached.weights)
+        input_grad = _contract_channels(cached.weights.T, upstream)
     return grads, input_grad

@@ -9,8 +9,14 @@ dependency-free.
 The objective is class-weighted cross-entropy plus soft Dice, plus the
 weighted regularization total. Optimization is AdamW with decoupled weight
 decay; bank parameters take no decay (their derived quantities are bounded by
-construction), head parameters default to 1e-2. Execution is single-threaded
-throughout, so identical configs and data reproduce runs bit-for-bit.
+construction), head parameters default to 1e-2.
+
+The training loop itself is single-threaded. Head contractions over the
+feature axis are one BLAS GEMM per image (``projection._contract_channels``);
+head weight gradients, which sum over pixels, are plain ``np.einsum`` calls
+with no BLAS routine. Neither depends on the BLAS thread count (see
+:mod:`qefilters.projection`), so identical configs and data reproduce runs
+bit-for-bit under any thread count.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .filterbank import (
     normalize_wavelengths,
 )
 from .metrics import IGNORE_LABEL, ConfusionMatrix, compute_metrics
-from .projection import Hypercube, apply_filter_bank, backward
+from .projection import Hypercube, _contract_channels, apply_filter_bank, backward
 from .regularization import RegConfig, RegLosses, total_reg
 from .rng import make_generator
 
@@ -55,7 +61,7 @@ class LinearHead:
         self.bias = params["bias"].copy()
 
     def forward(self, feats: np.ndarray):
-        logits = np.einsum("kf,bfhw->bkhw", self.weight, feats) + self.bias[None, :, None, None]
+        logits = _contract_channels(self.weight, feats) + self.bias[None, :, None, None]
         return logits, feats
 
     def backward(self, cache, d_logits: np.ndarray):
@@ -64,7 +70,7 @@ class LinearHead:
             "weight": np.einsum("bkhw,bfhw->kf", d_logits, feats),
             "bias": np.sum(d_logits, axis=(0, 2, 3)),
         }
-        d_feats = np.einsum("kf,bkhw->bfhw", self.weight, d_logits)
+        d_feats = _contract_channels(self.weight.T, d_logits)
         return grads, d_feats
 
 
@@ -92,21 +98,21 @@ class MlpHead:
         self.b2 = params["b2"].copy()
 
     def forward(self, feats: np.ndarray):
-        pre = np.einsum("jf,bfhw->bjhw", self.w1, feats) + self.b1[None, :, None, None]
+        pre = _contract_channels(self.w1, feats) + self.b1[None, :, None, None]
         hidden = np.tanh(pre)
-        logits = np.einsum("kj,bjhw->bkhw", self.w2, hidden) + self.b2[None, :, None, None]
+        logits = _contract_channels(self.w2, hidden) + self.b2[None, :, None, None]
         return logits, (feats, hidden)
 
     def backward(self, cache, d_logits: np.ndarray):
         feats, hidden = cache
-        d_hidden = np.einsum("kj,bkhw->bjhw", self.w2, d_logits) * (1.0 - hidden**2)
+        d_hidden = _contract_channels(self.w2.T, d_logits) * (1.0 - hidden**2)
         grads = {
             "w1": np.einsum("bjhw,bfhw->jf", d_hidden, feats),
             "b1": np.sum(d_hidden, axis=(0, 2, 3)),
             "w2": np.einsum("bkhw,bjhw->kj", d_logits, hidden),
             "b2": np.sum(d_logits, axis=(0, 2, 3)),
         }
-        d_feats = np.einsum("jf,bjhw->bfhw", self.w1, d_hidden)
+        d_feats = _contract_channels(self.w1.T, d_hidden)
         return grads, d_feats
 
 
@@ -424,6 +430,27 @@ def _miou(bank, head, lam_norm, cube, labels, num_classes, ignore) -> float:
     return compute_metrics(cm).miou
 
 
+def _batch_gradients(bank, head, lam_norm, cube, labels, idx, weights, ignore, reg, epoch):
+    """Segmentation loss and named gradients of the images ``idx`` of ``cube``.
+
+    The batch copy and its activations are locals here, so they are freed on
+    return, before the caller gathers the next batch.
+    """
+    sub = Hypercube(cube.data[idx], cube.wavelengths_nm)
+    response = evaluate_filter_bank(bank, lam_norm)
+    feats = apply_filter_bank(sub, response).data
+    logits, cache = head.forward(feats)
+    seg, d_logits = seg_loss(logits, labels[idx], weights, ignore)
+    if not np.isfinite(seg):
+        raise TrainingDivergedError(epoch)
+    head_grads, d_feats = head.backward(cache, d_logits)
+    bank_grads, _ = backward(sub, response, d_feats)
+    _, reg_grads = total_reg(bank, reg)
+    grads = {"bank": bank_grads.table + reg.lambda_reg * reg_grads.table}
+    grads.update({f"head.{k}": g for k, g in head_grads.items()})
+    return seg, grads
+
+
 def train(
     train_data: tuple[Hypercube, np.ndarray],
     val_data: tuple[Hypercube, np.ndarray],
@@ -504,22 +531,10 @@ def train(
         pending = 0
         for start in starts:
             idx = order[start : start + batch]
-            sub = Hypercube(train_cube.data[idx], wl)
-            sub_labels = train_labels[idx]
-
-            response = evaluate_filter_bank(bank, lam_norm)
-            feats = apply_filter_bank(sub, response).data
-            logits, cache = head.forward(feats)
-            seg, d_logits = seg_loss(logits, sub_labels, weights, ignore)
-            if not np.isfinite(seg):
-                raise TrainingDivergedError(epoch)
-            head_grads, d_feats = head.backward(cache, d_logits)
-            bank_grads, _ = backward(sub, response, d_feats)
-            reg_losses, reg_grads = total_reg(bank, config.reg)
+            seg, grads = _batch_gradients(
+                bank, head, lam_norm, train_cube, train_labels, idx, weights, ignore, config.reg, epoch
+            )
             epoch_seg.append(seg)
-
-            grads = {"bank": bank_grads.table + config.reg.lambda_reg * reg_grads.table}
-            grads.update({f"head.{k}": g for k, g in head_grads.items()})
             if pending_grads is None:
                 pending_grads = grads
             else:

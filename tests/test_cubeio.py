@@ -161,3 +161,51 @@ class TestFuzzSmoke:
         bad = LabelMap(np.zeros((1, 9, 9), dtype=int), num_classes=2)
         with pytest.raises(DataError):
             write_cube(cube, bad, tmp_path / "x.hypc")
+
+
+class TestWriteRejectsWhatReadRejects:
+    @pytest.mark.filterwarnings("error")
+    def test_negative_label(self):
+        cube, labels = sample_cube()
+        labels.values[0, 0, 0] = -1  # would wrap to 65535, the ignore value
+        with pytest.raises(DataError):
+            serialize_cube(cube, labels)
+
+    @pytest.mark.filterwarnings("error")
+    def test_reflectance_beyond_float32(self):
+        cube, labels = sample_cube()
+        cube.data[0, 0, 0, 0] = 1e39  # finite in float64, inf in float32
+        with pytest.raises(DataError):
+            serialize_cube(cube, labels)
+
+    @pytest.mark.parametrize("ignore", [-1, 65536])
+    def test_ignore_value_outside_u16(self, ignore):
+        cube, labels = sample_cube()
+        bad = LabelMap(labels.values, labels.num_classes, ignore_value=ignore)
+        with pytest.raises(DataError):
+            serialize_cube(cube, bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.tuples(*[st.sampled_from([0, 1, 1, 2, 2, 3, 3, 3])] * 4),
+        scale=st.sampled_from([1.0, 1.0, 1.0, 1e30, 1e39, 1e300]),
+        label_range=st.tuples(st.sampled_from([-1, 0, 0, 0, 1]), st.sampled_from([0, 1, 2, 2, 70000])),
+        num_classes=st.sampled_from([0, 1, 3, 3, 5, 255, 65535, 65536]),
+        ignore=st.sampled_from([-1, 0, 2, 255, 65535, 65536]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_write_raises_or_round_trips(self, dims, scale, label_range, num_classes, ignore, seed):
+        b, c, h, w = dims
+        rng = np.random.default_rng(seed)
+        cube = Hypercube(scale * rng.standard_normal(dims), np.linspace(470.0, 630.0, c))
+        low, span = label_range
+        labels = LabelMap(rng.integers(low, low + span + 1, (b, h, w)), num_classes, ignore)
+        try:
+            blob = serialize_cube(cube, labels)
+        except DataError:
+            return
+        parsed, parsed_labels = parse_cube(blob)
+        np.testing.assert_array_equal(parsed.data, cube.data.astype(np.float32).astype(float))
+        np.testing.assert_array_equal(parsed.wavelengths_nm, cube.wavelengths_nm)
+        np.testing.assert_array_equal(parsed_labels.values, labels.values)
+        assert (parsed_labels.num_classes, parsed_labels.ignore_value) == (num_classes, ignore)

@@ -14,6 +14,7 @@ from qefilters import (
     init_filter_bank,
     normalize_wavelengths,
 )
+from qefilters.projection import _contract_channels
 
 HYKO = WavelengthRange(470.0, 630.0)
 
@@ -45,6 +46,32 @@ class TestHypercube:
     def test_wavelength_count_must_match(self):
         with pytest.raises(DimensionMismatchError):
             Hypercube(np.zeros((1, 3, 2, 2)), [500.0, 510.0])
+
+
+class TestContractChannels:
+    @staticmethod
+    def check(matrix, x):
+        expected = np.einsum("fc,bchw->bfhw", matrix, x)
+        np.testing.assert_allclose(_contract_channels(matrix, x), expected, rtol=1e-12, atol=0)
+
+    def test_non_contiguous_cube_views(self):
+        rng = np.random.default_rng(0)
+        data = rng.random((5, 12, 7, 9))
+        self.check(rng.random((3, 6)), data[:, ::2])
+        self.check(rng.random((3, 12)), data[[4, 1]])
+        self.check(rng.random((2, 12)), data[1:4, :, 2:, ::3])
+
+    def test_transposed_weight(self):
+        rng = np.random.default_rng(1)
+        weight = rng.random((6, 4))
+        assert not weight.T.flags.c_contiguous
+        self.check(weight.T, rng.random((2, 6, 5, 3)))
+
+    def test_single_image_and_single_filter(self):
+        rng = np.random.default_rng(2)
+        self.check(rng.random((3, 5)), rng.random((1, 5, 4, 6)))
+        self.check(rng.random((1, 5)), rng.random((3, 5, 4, 6)))
+        self.check(rng.random((1, 5)), rng.random((1, 5, 1, 1)))
 
 
 class TestApplyFilterBank:

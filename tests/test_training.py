@@ -394,9 +394,11 @@ class TestTrainLoop:
         assert a.to_json() == b.to_json()
         assert np.array_equal(a.params.table, b.params.table)
 
-    @pytest.mark.parametrize("head", ["linear", "mlp"])
-    def test_report_independent_of_blas_threads(self, head):
-        script = (
+    # planted3 is too small for a pixel-axis GEMM to change bytes with the
+    # thread count; at 3 x 100 x 100 pixels per batch, backward's pixel sum
+    # run through np.tensordot gives different reports under 1 and 2 threads.
+    _THREAD_SCRIPTS = {
+        "planted3": (
             "import sys\n"
             "from dataclasses import replace\n"
             "from qefilters import train\n"
@@ -404,7 +406,38 @@ class TestTrainLoop:
             "(tc, tl), (vc, vl) = planted3_data()\n"
             "config = replace(planted3_config(seed=0, head=sys.argv[1]), max_epochs=5, patience=5)\n"
             "sys.stdout.write(train((tc, tl.values), (vc, vl.values), 2, 1, config).to_json())\n"
-        )
+        ),
+        "33ch-100px": (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "from qefilters import SpectralBump, SynthSpec, TrainConfig, gen_synthetic, train\n"
+            "base = (SpectralBump(780.0, 150.0, 0.4),)\n"
+            "spec = SynthSpec(\n"
+            "    class_bumps=(base, base + (SpectralBump(660.0, 30.0, 0.3),),\n"
+            "                 base + (SpectralBump(900.0, 30.0, 0.3),)),\n"
+            "    planted_centers_nm=(660.0, 900.0),\n"
+            "    wavelengths_nm=tuple(np.linspace(600.0, 975.0, 33)),\n"
+            "    noise_sigma=0.15, images=3, height=100, width=100, seed=5,\n"
+            ")\n"
+            "tc, tl = gen_synthetic(spec)\n"
+            "vc, vl = gen_synthetic(replace(spec, subset=1, images=1))\n"
+            "config = TrainConfig(learning_rate=2e-2, max_epochs=3, patience=3, batch_size=3,\n"
+            "                     seed=0, head=sys.argv[1])\n"
+            "sys.stdout.write(train((tc, tl.values), (vc, vl.values), 4, 2, config).to_json())\n"
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "task, head, epochs",
+        [
+            pytest.param("planted3", "linear", 5, id="linear"),
+            pytest.param("planted3", "mlp", 5, id="mlp"),
+            pytest.param("33ch-100px", "linear", 3, id="33ch-100px-linear"),
+            pytest.param("33ch-100px", "mlp", 3, id="33ch-100px-mlp"),
+        ],
+    )
+    def test_report_independent_of_blas_threads(self, task, head, epochs):
         src_dir = Path(qefilters.__file__).resolve().parent.parent
         tests_dir = Path(__file__).resolve().parent
         reports = []
@@ -412,10 +445,11 @@ class TestTrainLoop:
             env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join([str(src_dir), str(tests_dir)])
             done = subprocess.run(
-                [sys.executable, "-c", script, head], env=env, capture_output=True, check=True
+                [sys.executable, "-c", self._THREAD_SCRIPTS[task], head],
+                env=env, capture_output=True, check=True,
             )
             reports.append(done.stdout)
-        assert json.loads(reports[0])["epochs_run"] == 5
+        assert json.loads(reports[0])["epochs_run"] == epochs
         assert reports[0] == reports[1]
 
     def test_config_validation(self):
