@@ -33,15 +33,13 @@ from .filterbank import (
     EPSILON,
     FilterBankParams,
     FilterResponseMatrix,
-    PeakParams,
     WavelengthRange,
     evaluate_filter_bank,
     init_filter_bank,
     normalize_wavelengths,
-    peak_response,
 )
 from .metrics import IGNORE_LABEL, ConfusionMatrix, MetricsReport, compute_metrics
-from .projection import Hypercube, ParamGradients, ReducedCube, apply_filter_bank, backward
+from .projection import Hypercube, ReducedCube, apply_filter_bank, backward
 from .regularization import (
     RegConfig,
     RegLosses,
@@ -70,7 +68,6 @@ from .training import (
     predict,
     seg_loss,
     soft_dice,
-    total_loss,
     train,
     weighted_cross_entropy,
 )

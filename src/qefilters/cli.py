@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import ReductionPipeline, fit_reduction_pipeline, project
-from .cubeio import LabelMap, read_cube, write_cube
+from .classical import fit_reduction_pipeline, project
+from .cubeio import read_cube, write_cube
 from .errors import ConfigurationError, DataError, QEFiltersError, TrainingDivergedError
 from .filterbank import (
     EPSILON,
@@ -27,7 +27,7 @@ from .filterbank import (
 )
 from .metrics import ConfusionMatrix, compute_metrics
 from .projection import Hypercube
-from .regularization import REG_COMPONENTS, RegConfig
+from .regularization import RegConfig
 from .synthetic import gen_synthetic, spec_from_dict
 from .training import TrainConfig, train
 
@@ -95,9 +95,10 @@ def _cmd_gen_synth(args) -> int:
     doc = _load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
+    counts = _values(doc, {"images": int, "train_images": int, "val_images": int}, "gen-synth config")
+    images = {"train": counts.get("train_images", counts.get("images", 4))}
+    images["val"] = counts.get("val_images", max(1, images["train"] // 4))
     out = _out_dir(args.out)
-    images = {"train": int(doc.get("train_images", doc.get("images", 4)))}
-    images["val"] = int(doc.get("val_images", max(1, images["train"] // 4)))
     for subset_index, (name, count) in enumerate(images.items()):
         sub_doc = dict(doc)
         sub_doc["images"] = count
@@ -108,34 +109,57 @@ def _cmd_gen_synth(args) -> int:
     return 0
 
 
-def _reg_config_from(doc: dict) -> RegConfig:
-    reg_doc = doc.get("reg", {})
-    return RegConfig(
-        r_max=float(reg_doc.get("r_max", 0.3)),
-        d_min=float(reg_doc.get("d_min", 0.1)),
-        beta_min=float(reg_doc.get("beta_min", 0.03)),
-        beta_max=float(reg_doc.get("beta_max", 0.25)),
-        lambda_reg=float(reg_doc.get("lambda_reg", 0.1)),
-        enabled=tuple(reg_doc.get("enabled", REG_COMPONENTS)),
-    )
+def _value(doc: dict, key: str, kind, where: str):
+    """``kind(doc[key])``; a missing key or a value ``kind`` rejects is a DataError naming the key."""
+    if key not in doc:
+        raise DataError(f"{where} is missing required key {key!r}")
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where} key {key!r} has an invalid value {doc[key]!r}: {exc}") from exc
+
+
+def _values(doc: dict, kinds: dict, where: str) -> dict:
+    """The keys of ``kinds`` that ``doc`` sets, each converted by its kind."""
+    return {key: _value(doc, key, kind, where) for key, kind in kinds.items() if key in doc}
+
+
+def _class_weights(value) -> str | tuple[float, ...]:
+    return value if isinstance(value, str) else tuple(float(v) for v in value)
+
+
+# Optional train-config keys and the types their values convert to; a key the
+# document leaves out takes the TrainConfig or RegConfig default.
+_TRAIN_KEYS = {
+    "learning_rate": float,
+    "max_epochs": int,
+    "patience": int,
+    "batch_size": int,
+    "seed": int,
+    "class_weights": _class_weights,
+    "accumulate_steps": int,
+    "head": str,
+    "head_hidden": int,
+    "head_weight_decay": float,
+}
+_REG_KEYS = {
+    "r_max": float,
+    "d_min": float,
+    "beta_min": float,
+    "beta_max": float,
+    "lambda_reg": float,
+    "enabled": tuple,
+}
 
 
 def _train_config_from(doc: dict, seed_override) -> TrainConfig:
-    raw_weights = doc.get("class_weights", "inverse-frequency")
-    weights = raw_weights if isinstance(raw_weights, str) else tuple(float(v) for v in raw_weights)
-    return TrainConfig(
-        learning_rate=float(doc.get("learning_rate", 1e-4)),
-        max_epochs=int(doc.get("max_epochs", 300)),
-        patience=int(doc.get("patience", 30)),
-        batch_size=int(doc.get("batch_size", 4)),
-        seed=int(seed_override if seed_override is not None else doc.get("seed", 42)),
-        reg=_reg_config_from(doc),
-        class_weights=weights,
-        accumulate_steps=int(doc.get("accumulate_steps", 1)),
-        head=str(doc.get("head", "linear")),
-        head_hidden=int(doc.get("head_hidden", 8)),
-        head_weight_decay=float(doc.get("head_weight_decay", 1e-2)),
-    )
+    reg_doc = doc.get("reg", {})
+    if not isinstance(reg_doc, dict):
+        raise DataError(f"train config key 'reg' must be an object, got {reg_doc!r}")
+    options = _values(doc, _TRAIN_KEYS, "train config")
+    if seed_override is not None:
+        options["seed"] = seed_override
+    return TrainConfig(reg=RegConfig(**_values(reg_doc, _REG_KEYS, "train config 'reg'")), **options)
 
 
 def _read_labeled(path):
@@ -147,13 +171,10 @@ def _read_labeled(path):
 
 def _cmd_train(args) -> int:
     doc = _load_json(args.config)
-    try:
-        train_path = doc["train_data"]
-        val_path = doc["val_data"]
-        num_filters = int(doc["num_filters"])
-        peaks = int(doc["peaks_per_filter"])
-    except KeyError as exc:
-        raise DataError(f"train config is missing required key {exc}") from exc
+    train_path = _value(doc, "train_data", str, "train config")
+    val_path = _value(doc, "val_data", str, "train config")
+    num_filters = _value(doc, "num_filters", int, "train config")
+    peaks = _value(doc, "peaks_per_filter", int, "train config")
     config = _train_config_from(doc, args.seed)
     train_cube, train_labels = _read_labeled(train_path)
     val_cube, val_labels = _read_labeled(val_path)
@@ -185,20 +206,17 @@ def _cmd_train(args) -> int:
 
 def _cmd_reduce(args) -> int:
     doc = _load_json(args.config)
-    try:
-        method = doc["method"]
-        num_filters = int(doc["num_filters"])
-        train_path = doc["train_data"]
-    except KeyError as exc:
-        raise DataError(f"reduce config is missing required key {exc}") from exc
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
+    method = _value(doc, "method", str, "reduce config")
+    num_filters = _value(doc, "num_filters", int, "reduce config")
+    train_path = _value(doc, "train_data", str, "reduce config")
+    options = _values(doc, {"target_samples": int, "seed": int}, "reduce config")
     cube, labels = _read_labeled(train_path)
     pipeline = fit_reduction_pipeline(
         [(cube, labels.values)],
         method,
         num_filters,
-        target_total=int(doc.get("target_samples", 50_000)),
-        seed=seed,
+        target_total=options.get("target_samples", 50_000),
+        seed=args.seed if args.seed is not None else options.get("seed", 0),
         ignore=labels.ignore_value,
     )
     out = _out_dir(args.out)

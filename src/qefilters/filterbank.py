@@ -64,41 +64,13 @@ class WavelengthRange:
         return self.end_nm - self.start_nm
 
 
-@dataclass(frozen=True)
-class PeakParams:
-    """Raw parameters of a single peak, with derived accessors."""
-
-    centroid: float
-    log_bandwidth: float
-    amplitude_logit: float
-    skewness_raw: float
-
-    @property
-    def bandwidth(self) -> float:
-        return float(max(np.exp(self.log_bandwidth), _BANDWIDTH_FLOOR))
-
-    @property
-    def amplitude(self) -> float:
-        return float(sigmoid(self.amplitude_logit))
-
-    @property
-    def skew(self) -> float:
-        return float(0.5 * np.tanh(self.skewness_raw))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.centroid, self.log_bandwidth, self.amplitude_logit, self.skewness_raw],
-            dtype=float,
-        )
-
-
 class FilterBankParams:
     """All learnable parameters of a bank: an (F, P, 4) table plus the range.
 
     The table layout is ``table[f, p] = (centroid, log_bandwidth,
     amplitude_logit, skewness_raw)``, giving exactly ``4 * P * F`` learnable
-    scalars. The table is the single source of truth; :class:`PeakParams`
-    views are materialized on demand.
+    scalars. The table is the single source of truth; the properties below
+    are views of its slots and the quantities derived from them.
     """
 
     def __init__(self, table: np.ndarray, wavelength_range: WavelengthRange):
@@ -155,16 +127,6 @@ class FilterBankParams:
     @property
     def skews(self) -> np.ndarray:
         return 0.5 * np.tanh(self.skewness_raw)
-
-    @property
-    def filters(self) -> list[list[PeakParams]]:
-        return [
-            [PeakParams(*self.table[f, p]) for p in range(self.peaks_per_filter)]
-            for f in range(self.num_filters)
-        ]
-
-    def peak(self, filter_index: int, peak_index: int) -> PeakParams:
-        return PeakParams(*self.table[filter_index, peak_index])
 
     def dominant_peaks(self) -> np.ndarray:
         """Index of the largest-amplitude peak per filter (ties: lowest index)."""
@@ -277,9 +239,12 @@ def init_filter_bank(
 def _peak_geometry(params: FilterBankParams, lambda_norm: np.ndarray):
     """Shared forward geometry for evaluation and the backward pass.
 
-    Returns (x, t, x_skew, envelope) arrays of shape (F, P, C) plus the
-    derived (beta, amplitude, skew) arrays of shape (F, P). ``envelope`` is
-    exp(-x_skew^2 / 2); a peak's response is ``amplitude * envelope``.
+    Returns the (F, P, C) arrays of the standardized distance
+    ``x = (lam - c) / beta``, ``t = tanh(x)``, the skewed distance
+    ``x_skew = x * (1 + skew * t)`` and ``envelope = exp(-x_skew^2 / 2)``.
+    A peak's response is ``amplitude * envelope``: smooth in the wavelength
+    and in all four raw parameters, and exactly the amplitude at the
+    centroid, whatever the skew.
     """
     lam = lambda_norm[None, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -289,26 +254,6 @@ def _peak_geometry(params: FilterBankParams, lambda_norm: np.ndarray):
         x_skew = x * (1.0 + params.skews[:, :, None] * t)
         envelope = np.exp(-0.5 * np.square(x_skew))
     return x, t, x_skew, envelope
-
-
-def peak_response(peak: PeakParams, lambda_norm) -> np.ndarray | float:
-    """Evaluate one asymmetric Gaussian peak at normalized wavelengths.
-
-    Computes the standardized distance ``x = (lam - c) / beta``, the skewed
-    distance ``x * (1 + skew * tanh(x))`` and the response
-    ``amplitude * exp(-x_skew^2 / 2)``. Smooth in the wavelength and in all
-    four raw parameters; the response at the centroid is exactly the
-    amplitude, whatever the skew.
-    """
-    lam = np.asarray(lambda_norm, dtype=float)
-    x = (lam - peak.centroid) / peak.bandwidth
-    t = np.tanh(x)
-    x_skew = x * (1.0 + peak.skew * t)
-    with np.errstate(over="ignore"):
-        g = peak.amplitude * np.exp(-0.5 * np.square(x_skew))
-    if np.ndim(lambda_norm) == 0:
-        return float(g)
-    return g
 
 
 @dataclass
@@ -327,14 +272,6 @@ class FilterResponseMatrix:
     argmax_channel: np.ndarray  # (F,)
     normalized_wavelengths: np.ndarray  # (C,)
     params: FilterBankParams
-
-    @property
-    def num_filters(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.weights.shape[1]
 
 
 def evaluate_filter_bank(params: FilterBankParams, lambda_norm: Sequence[float]) -> FilterResponseMatrix:

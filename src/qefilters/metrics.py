@@ -47,12 +47,6 @@ class ConfusionMatrix:
         )
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise DataError("cannot merge confusion matrices of different sizes")
-        self.counts += other.counts
-        return self
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -77,10 +71,9 @@ class MetricsReport:
             "specificity": self.specificity,
         }
 
-    def format_table(self, class_names: list[str] | None = None) -> str:
+    def format_table(self) -> str:
         """Aligned plain-text table, two decimals, one row per class."""
-        k = len(self.per_class_iou)
-        names = class_names or [f"class_{i}" for i in range(k)]
+        names = [f"class_{i}" for i in range(len(self.per_class_iou))]
         width = max(len(n) for n in names + ["mSpecificity"])
         lines = [f"{'Class'.ljust(width)}  {'IoU':>7}"]
         for name, iou in zip(names, self.per_class_iou):

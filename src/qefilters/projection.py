@@ -30,16 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DimensionMismatchError
-from .filterbank import (
-    AMPLITUDE_LOGIT,
-    CENTROID,
-    EPSILON,
-    LOG_BANDWIDTH,
-    SKEWNESS_RAW,
-    FilterBankParams,
-    FilterResponseMatrix,
-    _peak_geometry,
-)
+from .filterbank import EPSILON, FilterResponseMatrix, _peak_geometry
 
 
 @dataclass
@@ -92,32 +83,6 @@ class ReducedCube:
         return self.data.shape
 
 
-@dataclass
-class ParamGradients:
-    """Partial derivatives of a scalar loss, same (F, P, 4) layout as the bank."""
-
-    table: np.ndarray
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.table[:, :, CENTROID]
-
-    @property
-    def log_bandwidth(self) -> np.ndarray:
-        return self.table[:, :, LOG_BANDWIDTH]
-
-    @property
-    def amplitude_logit(self) -> np.ndarray:
-        return self.table[:, :, AMPLITUDE_LOGIT]
-
-    @property
-    def skewness_raw(self) -> np.ndarray:
-        return self.table[:, :, SKEWNESS_RAW]
-
-    def __add__(self, other: "ParamGradients") -> "ParamGradients":
-        return ParamGradients(self.table + other.table)
-
-
 def _contract_channels(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """out[b,f,h,w] = sum_c matrix[f,c] * x[b,c,h,w], as one GEMM per image.
 
@@ -148,7 +113,7 @@ def backward(
     cached: FilterResponseMatrix,
     upstream_grad: np.ndarray,
     compute_input_grad: bool = False,
-) -> tuple[ParamGradients, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Backpropagate a loss gradient on the reduced cube to the bank parameters.
 
     ``cached`` must come from :func:`evaluate_filter_bank` on the same
@@ -162,7 +127,8 @@ def backward(
         then amplitude -> logit via sigmoid', bandwidth -> log via exp,
         skew -> raw via 0.5 * tanh'.
 
-    Returns the parameter gradients and, when requested, dL/dX of the cube's
+    Returns the parameter gradients as an (F, P, 4) array in the slot order
+    of ``FilterBankParams.table`` and, when requested, dL/dX of the cube's
     shape.
     """
     upstream = np.asarray(upstream_grad, dtype=float)
@@ -210,8 +176,7 @@ def backward(
         d_skew = np.sum(u * x * t, axis=2)
         d_skewness_raw = d_skew * 0.5 * (1.0 - np.square(np.tanh(params.skewness_raw)))
 
-    table = np.stack([d_centroid, d_log_bandwidth, d_amplitude_logit, d_skewness_raw], axis=2)
-    grads = ParamGradients(table)
+    grads = np.stack([d_centroid, d_log_bandwidth, d_amplitude_logit, d_skewness_raw], axis=2)
 
     input_grad = None
     if compute_input_grad:

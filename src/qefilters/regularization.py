@@ -12,18 +12,12 @@ inactive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .filterbank import (
-    AMPLITUDE_LOGIT,
-    CENTROID,
-    LOG_BANDWIDTH,
-    FilterBankParams,
-)
-from .projection import ParamGradients
+from .filterbank import AMPLITUDE_LOGIT, CENTROID, LOG_BANDWIDTH, FilterBankParams
 
 REG_COMPONENTS = ("dominance", "separation", "bandwidth")
 
@@ -64,35 +58,32 @@ class RegConfig:
 
 @dataclass(frozen=True)
 class RegLosses:
-    """The three penalty values and their exact sum."""
+    """The three penalty values; ``total`` sums them in that order."""
 
     dominance: float
     separation: float
     bandwidth: float
-    total: float = field(default=0.0)
 
-    @classmethod
-    def of(cls, dominance: float, separation: float, bandwidth: float) -> "RegLosses":
-        return cls(dominance, separation, bandwidth, dominance + separation + bandwidth)
-
-
-def _empty_grad(params: FilterBankParams) -> np.ndarray:
-    return np.zeros_like(params.table)
+    @property
+    def total(self) -> float:
+        return self.dominance + self.separation + self.bandwidth
 
 
 def dominance_loss(
     params: FilterBankParams, r_max: float, epsilon: float = 1e-8
-) -> tuple[float, ParamGradients]:
+) -> tuple[float, np.ndarray]:
     """Penalize secondary peaks taller than r_max of the dominant one.
 
     Per filter: ReLU(a_second / (a_max + eps) - r_max), averaged over filters.
     Defined as zero for single-peak filters, where no secondary peak exists.
-    Gradients reach the amplitude logits through the sigmoid chain.
+    Gradients reach the amplitude logits through the sigmoid chain. Like
+    every penalty here, returns the value and its (F, P, 4) gradient in the
+    slot order of ``params.table``.
     """
-    grad = _empty_grad(params)
+    grad = np.zeros_like(params.table)
     num_filters, num_peaks = params.num_filters, params.peaks_per_filter
     if num_peaks == 1:
-        return 0.0, ParamGradients(grad)
+        return 0.0, grad
     amplitude = params.amplitudes
     total = 0.0
     for f in range(num_filters):
@@ -108,20 +99,20 @@ def dominance_loss(
             d_star = -a[second] / (a[star] + epsilon) ** 2 / num_filters
             grad[f, second, AMPLITUDE_LOGIT] += d_second * a[second] * (1.0 - a[second])
             grad[f, star, AMPLITUDE_LOGIT] += d_star * a[star] * (1.0 - a[star])
-    return total / num_filters, ParamGradients(grad)
+    return total / num_filters, grad
 
 
-def separation_loss(params: FilterBankParams, d_min: float) -> tuple[float, ParamGradients]:
+def separation_loss(params: FilterBankParams, d_min: float) -> tuple[float, np.ndarray]:
     """Penalize dominant-peak centroids of different filters closer than d_min.
 
     (1/F^2) * sum over ordered pairs f != k of ReLU(d_min - |c_f* - c_k*|).
     Gradients reach only the selected centroids; the argmax choosing each
     filter's dominant peak is locally constant.
     """
-    grad = _empty_grad(params)
+    grad = np.zeros_like(params.table)
     num_filters = params.num_filters
     if num_filters == 1:
-        return 0.0, ParamGradients(grad)
+        return 0.0, grad
     star = params.dominant_peaks()
     c = params.centroids[np.arange(num_filters), star]  # (F,)
     diff = c[:, None] - c[None, :]
@@ -133,18 +124,18 @@ def separation_loss(params: FilterBankParams, d_min: float) -> tuple[float, Para
     # Both ordered pairs (f, k) and (k, f) contribute the same derivative.
     d_c = -2.0 * np.sum(np.sign(diff) * active, axis=1) / num_filters**2
     grad[np.arange(num_filters), star, CENTROID] = d_c
-    return loss, ParamGradients(grad)
+    return loss, grad
 
 
 def bandwidth_loss(
     params: FilterBankParams, beta_min: float, beta_max: float
-) -> tuple[float, ParamGradients]:
+) -> tuple[float, np.ndarray]:
     """Penalize dominant-peak bandwidths outside [beta_min, beta_max].
 
     (1/F) * sum over filters of ReLU(beta_min - beta*) + ReLU(beta* - beta_max),
     with the exp chain back to the log-bandwidth.
     """
-    grad = _empty_grad(params)
+    grad = np.zeros_like(params.table)
     num_filters = params.num_filters
     star = params.dominant_peaks()
     rows = np.arange(num_filters)
@@ -154,20 +145,20 @@ def bandwidth_loss(
     loss = float((low + high).sum()) / num_filters
     d_beta = (-(beta < beta_min).astype(float) + (beta > beta_max).astype(float)) / num_filters
     grad[rows, star, LOG_BANDWIDTH] = d_beta * beta
-    return loss, ParamGradients(grad)
+    return loss, grad
 
 
-def total_reg(params: FilterBankParams, config: RegConfig) -> tuple[RegLosses, ParamGradients]:
+def total_reg(params: FilterBankParams, config: RegConfig) -> tuple[RegLosses, np.ndarray]:
     """Sum the enabled penalty terms; the gradient is the sum of theirs."""
-    grad = ParamGradients(_empty_grad(params))
+    grad = np.zeros_like(params.table)
     dom = sep = bw = 0.0
     if "dominance" in config.enabled:
         dom, g = dominance_loss(params, config.r_max, config.epsilon)
-        grad = grad + g
+        grad += g
     if "separation" in config.enabled:
         sep, g = separation_loss(params, config.d_min)
-        grad = grad + g
+        grad += g
     if "bandwidth" in config.enabled:
         bw, g = bandwidth_loss(params, config.beta_min, config.beta_max)
-        grad = grad + g
-    return RegLosses.of(dom, sep, bw), grad
+        grad += g
+    return RegLosses(dom, sep, bw), grad

@@ -22,7 +22,7 @@ bit-for-bit under any thread count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .filterbank import (
 )
 from .metrics import IGNORE_LABEL, ConfusionMatrix, compute_metrics
 from .projection import Hypercube, _contract_channels, apply_filter_bank, backward
-from .regularization import RegConfig, RegLosses, total_reg
+from .regularization import RegConfig, total_reg
 from .rng import make_generator
 
 
@@ -231,13 +231,6 @@ def seg_loss(
     return ce + dice, ce_grad + dice_grad
 
 
-def total_loss(seg: float, reg: RegLosses, lambda_reg: float) -> float:
-    """Full objective: segmentation loss plus weighted regularization total."""
-    if lambda_reg < 0:
-        raise ConfigurationError(f"lambda_reg must be >= 0, got {lambda_reg}")
-    return seg + lambda_reg * reg.total
-
-
 def inverse_frequency_weights(
     labels: np.ndarray, num_classes: int, ignore: int = IGNORE_LABEL
 ) -> np.ndarray:
@@ -337,6 +330,10 @@ class TrainConfig:
             raise ConfigurationError("patience must lie in [1, max_epochs]")
         if self.batch_size < 1 or self.accumulate_steps < 1:
             raise ConfigurationError("batch_size and accumulate_steps must be >= 1")
+        if isinstance(self.class_weights, str) and self.class_weights != "inverse-frequency":
+            raise ConfigurationError(
+                f"class_weights must be 'inverse-frequency' or a sequence, got {self.class_weights!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -412,11 +409,6 @@ class TrainReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _dominant_centroids(params: FilterBankParams) -> np.ndarray:
-    star = params.dominant_peaks()
-    return params.centroids[np.arange(params.num_filters), star]
-
-
 def _predict(bank, head, lam_norm, cube: Hypercube) -> np.ndarray:
     response = evaluate_filter_bank(bank, lam_norm)
     feats = apply_filter_bank(cube, response).data
@@ -446,7 +438,7 @@ def _batch_gradients(bank, head, lam_norm, cube, labels, idx, weights, ignore, r
     head_grads, d_feats = head.backward(cache, d_logits)
     bank_grads, _ = backward(sub, response, d_feats)
     _, reg_grads = total_reg(bank, reg)
-    grads = {"bank": bank_grads.table + reg.lambda_reg * reg_grads.table}
+    grads = {"bank": bank_grads + reg.lambda_reg * reg_grads}
     grads.update({f"head.{k}": g for k, g in head_grads.items()})
     return seg, grads
 
@@ -598,18 +590,11 @@ def train(
     )
 
 
-def restore_head(report: TrainReport, num_filters: int):
-    """Rebuild the best-epoch head from a report for prediction."""
-    head = make_head(report.head_kind, report.num_classes, num_filters, make_generator(0),
-                     hidden=report.head_state.get("w1", np.zeros((8, 1))).shape[0]
-                     if report.head_kind == "mlp" else 8)
-    head.set_parameters(report.head_state)
-    return head
-
-
 def predict(report: TrainReport, cube: Hypercube) -> np.ndarray:
     """Per-pixel class predictions of a report's best snapshot on a cube."""
     bank = report.params
     lam_norm = normalize_wavelengths(cube.wavelengths_nm, bank.range)
-    head = restore_head(report, bank.num_filters)
+    head = make_head(report.head_kind, report.num_classes, bank.num_filters, make_generator(0))
+    # set_parameters replaces every array, so the state fixes the hidden width.
+    head.set_parameters(report.head_state)
     return _predict(bank, head, lam_norm, cube)

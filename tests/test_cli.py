@@ -268,3 +268,47 @@ class TestExitCodes:
         bad = tmp_path / "bad.hypc"
         bad.write_bytes(b"XYZW" + b"\x00" * 40)
         assert cli(["eval", "--pred", str(bad), "--truth", str(bad)]) == 2
+
+    def test_gen_synth_config_value_of_wrong_type(self, tmp_path, capsys):
+        doc = json.loads(synth_config(tmp_path).read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(doc, train_images="x")))
+        assert cli(["gen-synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+        assert "train_images" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            pytest.param({"learning_rate": "fast"}, "learning_rate", id="learning_rate"),
+            pytest.param({"num_filters": "two"}, "num_filters", id="num_filters"),
+            pytest.param({"reg": {"enabled": 5}}, "enabled", id="reg.enabled"),
+            pytest.param({"class_weights": "uniform"}, "class_weights", id="class_weights"),
+        ],
+    )
+    def test_train_config_value_of_wrong_type(self, tmp_path, capsys, setting, key):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        doc = {
+            "train_data": str(data_dir / "train.hypc"),
+            "val_data": str(data_dir / "val.hypc"),
+            "num_filters": 1,
+            "peaks_per_filter": 1,
+            "max_epochs": 2,
+            "patience": 2,
+        }
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(dict(doc, **setting)))
+        capsys.readouterr()
+        assert cli(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_reduce_config_value_of_wrong_type(self, tmp_path, capsys):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        doc = {"method": "pca", "num_filters": "x", "train_data": str(data_dir / "train.hypc")}
+        path = tmp_path / "reduce.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["reduce", "--config", str(path), "--out", str(tmp_path / "red")]) == 2
+        assert "num_filters" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 from qefilters import (
     FilterBankParams,
     RegConfig,
+    RegLosses,
     WavelengthRange,
     bandwidth_loss,
     dominance_loss,
@@ -41,7 +42,7 @@ class TestDominance:
         bank = bank_from([[0.5]], [[0.1]], [[0.9]])
         value, grads = dominance_loss(bank, 0.3)
         assert value == 0.0
-        assert np.all(grads.table == 0.0)
+        assert np.all(grads == 0.0)
 
     def test_worked_active_case(self):
         bank = bank_from([[0.2, 0.8]], [[0.1, 0.1]], [[0.8, 0.5]])
@@ -54,7 +55,7 @@ class TestDominance:
         bank = bank_from([[0.2, 0.8]], [[0.1, 0.1]], [[0.8, 0.2]])
         value, grads = dominance_loss(bank, 0.3)
         assert value == 0.0
-        assert np.all(grads.table == 0.0)
+        assert np.all(grads == 0.0)
 
     def test_monotone_in_secondary_amplitude(self):
         values = []
@@ -73,7 +74,7 @@ class TestSeparation:
         bank = bank_from([[0.2], [0.8]], [[0.1], [0.1]], [[0.7], [0.7]])
         value, grads = separation_loss(bank, 0.1)
         assert value == 0.0
-        assert np.all(grads.table == 0.0)
+        assert np.all(grads == 0.0)
 
     def test_worked_value(self):
         bank = bank_from([[0.50], [0.55]], [[0.1], [0.1]], [[0.7], [0.7]])
@@ -105,13 +106,21 @@ class TestBandwidth:
         bank = bank_from([[0.5]], [[0.10]], [[0.7]])
         value, grads = bandwidth_loss(bank, 0.03, 0.25)
         assert value == 0.0
-        assert np.all(grads.table == 0.0)
+        assert np.all(grads == 0.0)
 
     def test_worked_values(self):
         wide = bank_from([[0.5]], [[0.30]], [[0.7]])
         assert bandwidth_loss(wide, 0.03, 0.25)[0] == pytest.approx(0.05, abs=1e-12)
         narrow = bank_from([[0.5]], [[0.01]], [[0.7]])
         assert bandwidth_loss(narrow, 0.03, 0.25)[0] == pytest.approx(0.02, abs=1e-12)
+
+
+class TestRegLosses:
+    def test_total_sums_terms_in_order(self):
+        assert RegLosses(0.0, 0.0, 0.0).total == 0.0
+        # the order is visible in the last bit: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert RegLosses(0.1, 0.2, 0.3).total == (0.1 + 0.2) + 0.3
+        assert RegLosses(0.1, 0.2, 0.3).total != 0.1 + (0.2 + 0.3)
 
 
 class TestTotal:
@@ -124,11 +133,11 @@ class TestTotal:
         losses, grads = total_reg(bank, RegConfig())
         assert losses.total == losses.dominance + losses.separation + losses.bandwidth
         parts = [
-            dominance_loss(bank, 0.3)[1].table,
-            separation_loss(bank, 0.1)[1].table,
-            bandwidth_loss(bank, 0.03, 0.25)[1].table,
+            dominance_loss(bank, 0.3)[1],
+            separation_loss(bank, 0.1)[1],
+            bandwidth_loss(bank, 0.03, 0.25)[1],
         ]
-        np.testing.assert_array_equal(grads.table, sum(parts))
+        np.testing.assert_array_equal(grads, sum(parts))
 
     def test_worked_combination(self):
         # dominance 0.325, separation 0.025, bandwidth 0.05
@@ -153,10 +162,10 @@ class TestTotal:
         only_sep, grads_sep = total_reg(bank, RegConfig(enabled=("separation",)))
         assert only_sep.dominance == 0.0 and only_sep.bandwidth == 0.0
         assert only_sep.separation == full.separation
-        np.testing.assert_array_equal(grads_sep.table, separation_loss(bank, 0.1)[1].table)
+        np.testing.assert_array_equal(grads_sep, separation_loss(bank, 0.1)[1])
         none, grads_none = total_reg(bank, RegConfig(enabled=()))
         assert none.total == 0.0
-        assert np.all(grads_none.table == 0.0)
+        assert np.all(grads_none == 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -165,6 +174,8 @@ class TestTotal:
             RegConfig(beta_min=0.3, beta_max=0.2)
         with pytest.raises(ConfigurationError):
             RegConfig(enabled=("dominance", "sharpness"))
+        with pytest.raises(ConfigurationError):
+            RegConfig(lambda_reg=-0.1)
 
 
 def away_from_kinks(bank, cfg, margin=1e-3):
@@ -217,5 +228,5 @@ def test_gradients_match_finite_differences_away_from_kinks():
                     l_plus, _ = total_reg(FilterBankParams(plus, HYKO), cfg)
                     l_minus, _ = total_reg(FilterBankParams(minus, HYKO), cfg)
                     fd = (l_plus.total - l_minus.total) / (2 * step)
-                    rel = abs(grads.table[f, p, s] - fd) / (abs(fd) + 1e-8)
+                    rel = abs(grads[f, p, s] - fd) / (abs(fd) + 1e-8)
                     assert rel < 1e-4

@@ -11,26 +11,29 @@ import qefilters
 
 from qefilters import (
     ConfigurationError,
+    ConfusionMatrix,
     DataError,
     Hypercube,
     RegConfig,
     TrainConfig,
     TrainingDivergedError,
     adam_step,
+    compute_metrics,
     evaluate_filter_bank,
     init_filter_bank,
     inverse_frequency_weights,
     normalize_wavelengths,
+    predict,
     seg_loss,
     soft_dice,
-    total_loss,
     train,
     weighted_cross_entropy,
 )
 from qefilters.filterbank import FilterBankParams, WavelengthRange
-from qefilters.projection import apply_filter_bank, backward
-from qefilters.regularization import RegLosses, total_reg
-from qefilters.training import make_head
+from qefilters.metrics import IGNORE_LABEL
+from qefilters.projection import apply_filter_bank
+from qefilters.regularization import total_reg
+from qefilters.training import AdamW, _batch_gradients, make_head
 from qefilters.rng import make_generator
 
 from tasks import planted3_config, planted3_data, planted3_spec
@@ -73,8 +76,6 @@ class TestSegLoss:
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
     def test_ignored_pixels_carry_no_gradient(self):
-        from qefilters.metrics import IGNORE_LABEL
-
         logits = np.random.default_rng(2).normal(size=(1, 2, 2, 2))
         labels = np.array([[[0, IGNORE_LABEL], [1, IGNORE_LABEL]]])
         _, grad = seg_loss(logits, labels, np.ones(2))
@@ -82,8 +83,6 @@ class TestSegLoss:
         assert np.all(grad[0, :, 1, 1] == 0.0)
 
     def test_ignore_value_inside_class_range(self):
-        from qefilters.metrics import IGNORE_LABEL
-
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(2, 3, 4, 4))
         labels = rng.integers(0, 3, size=(2, 4, 4))
@@ -108,20 +107,6 @@ class TestSegLoss:
             logits[b, labels[b, h, w], h, w] = 20.0
         dice, _ = soft_dice(logits, labels)
         assert dice == pytest.approx(0.0, abs=1e-8)
-
-
-class TestTotalLoss:
-    def test_zero_reg_identity(self):
-        reg = RegLosses.of(0.0, 0.0, 0.0)
-        assert total_loss(1.37, reg, 0.1) == 1.37
-
-    def test_worked_combination(self):
-        reg = RegLosses.of(0.325, 0.025, 0.05)
-        assert total_loss(1.0, reg, 0.1) == pytest.approx(1.04, abs=1e-12)
-
-    def test_lambda_zero_is_seg_only(self):
-        reg = RegLosses.of(0.3, 0.2, 0.1)
-        assert total_loss(2.0, reg, 0.0) == 2.0
 
 
 class TestAdam:
@@ -194,7 +179,8 @@ def tiny_dataset(seed=0, images=4, noise=0.05):
 
 class TestEndToEndGradient:
     def test_total_objective_gradient_check(self):
-        # one 2 x 3 x 4 x 4 instance, F=2 filters
+        # one 2 x 3 x 4 x 4 instance, F=2 filters; the two centroids lie closer
+        # than d_min, so the separation term's gradient is part of the check
         rng = np.random.default_rng(30)
         wl = np.linspace(470.0, 630.0, 3)
         cube = Hypercube(rng.random((2, 3, 4, 4)), wl)
@@ -212,16 +198,14 @@ class TestEndToEndGradient:
             logits, _ = head.forward(feats)
             seg, _ = seg_loss(logits, labels, weights)
             reg, _ = total_reg(b, reg_cfg)
-            return total_loss(seg, reg, reg_cfg.lambda_reg)
+            return seg + reg_cfg.lambda_reg * reg.total
 
-        resp = evaluate_filter_bank(bank, lam)
-        feats = apply_filter_bank(cube, resp).data
-        logits, cache = head.forward(feats)
-        _, d_logits = seg_loss(logits, labels, weights)
-        _, d_feats = head.backward(cache, d_logits)
-        bank_grads, _ = backward(cube, resp, d_feats)
-        _, reg_grads = total_reg(bank, reg_cfg)
-        full_grad = bank_grads.table + reg_cfg.lambda_reg * reg_grads.table
+        assert total_reg(bank, reg_cfg)[0].separation > 0.0
+        # the bank gradient the training loop applies
+        _, grads = _batch_gradients(
+            bank, head, lam, cube, labels, np.arange(2), weights, IGNORE_LABEL, reg_cfg, 1
+        )
+        full_grad = grads["bank"]
 
         step = 1e-5
         # Single-peak amplitude partials are epsilon-scale (~1e-10); below the
@@ -246,7 +230,6 @@ class TestEndToEndGradient:
         head = make_head("linear", 2, 2, make_generator(6))
         weights = np.ones(2)
         cfg = RegConfig()
-        from qefilters.training import AdamW
 
         named = {"bank": bank.table}
         named.update({f"head.{k}": p for k, p in head.parameters().items()})
@@ -258,19 +241,14 @@ class TestEndToEndGradient:
             logits, _ = head.forward(feats)
             seg, _ = seg_loss(logits, labels, weights)
             reg, _ = total_reg(b, cfg)
-            return total_loss(seg, reg, cfg.lambda_reg)
+            return seg + cfg.lambda_reg * reg.total
 
         initial = current_loss(bank)
+        everything = np.arange(cube.dims[0])
         for _ in range(50):
-            resp = evaluate_filter_bank(bank, lam)
-            feats = apply_filter_bank(cube, resp).data
-            logits, cache = head.forward(feats)
-            _, d_logits = seg_loss(logits, labels, weights)
-            head_grads, d_feats = head.backward(cache, d_logits)
-            bank_grads, _ = backward(cube, resp, d_feats)
-            _, reg_grads = total_reg(bank, cfg)
-            grads = {"bank": bank_grads.table + cfg.lambda_reg * reg_grads.table}
-            grads.update({f"head.{k}": g for k, g in head_grads.items()})
+            _, grads = _batch_gradients(
+                bank, head, lam, cube, labels, everything, weights, IGNORE_LABEL, cfg, 1
+            )
             named = {"bank": bank.table}
             named.update({f"head.{k}": p for k, p in head.parameters().items()})
             updated = opt.step(named, grads)
@@ -352,8 +330,6 @@ class TestTrainLoop:
             b -= lr * grad_b
         val_band = val_cube.data[:, 3].reshape(-1)
         pred = (1.0 / (1.0 + np.exp(-(w * val_band + b))) > 0.5).astype(int)
-        from qefilters import ConfusionMatrix, compute_metrics
-
         cm = ConfusionMatrix(2).accumulate(pred, val_labels.reshape(-1))
         oracle_miou = compute_metrics(cm).miou
         assert oracle_miou > 95.0
@@ -367,8 +343,6 @@ class TestTrainLoop:
 
     def test_empty_split_rejected(self):
         cube, labels = tiny_dataset(seed=8)
-        from qefilters.metrics import IGNORE_LABEL
-
         all_ignored = np.full_like(labels, IGNORE_LABEL)
         with pytest.raises(ConfigurationError):
             train((cube, all_ignored), (cube, labels), 1, 1, TrainConfig())
@@ -395,8 +369,11 @@ class TestTrainLoop:
         assert np.array_equal(a.params.table, b.params.table)
 
     # planted3 is too small for a pixel-axis GEMM to change bytes with the
-    # thread count; at 3 x 100 x 100 pixels per batch, backward's pixel sum
-    # run through np.tensordot gives different reports under 1 and 2 threads.
+    # thread count. At 3 x 100 x 100 pixels per batch, np.tensordot in place
+    # of the einsum gives different reports under 1 and 2 threads for
+    # backward's 4 x 33 pixel sum and, at hidden width 33, for the MLP head's
+    # 33 x 4 w1 gradient. The w1 case needs 4 epochs or more: Adam's first
+    # step is lr * sign(g), which hides a last-bit change in g.
     _THREAD_SCRIPTS = {
         "planted3": (
             "import sys\n"
@@ -404,7 +381,9 @@ class TestTrainLoop:
             "from qefilters import train\n"
             "from tasks import planted3_config, planted3_data\n"
             "(tc, tl), (vc, vl) = planted3_data()\n"
-            "config = replace(planted3_config(seed=0, head=sys.argv[1]), max_epochs=5, patience=5)\n"
+            "epochs = int(sys.argv[3])\n"
+            "config = replace(planted3_config(seed=0, head=sys.argv[1]), max_epochs=epochs,\n"
+            "                 patience=epochs, head_hidden=int(sys.argv[2]))\n"
             "sys.stdout.write(train((tc, tl.values), (vc, vl.values), 2, 1, config).to_json())\n"
         ),
         "33ch-100px": (
@@ -422,22 +401,24 @@ class TestTrainLoop:
             ")\n"
             "tc, tl = gen_synthetic(spec)\n"
             "vc, vl = gen_synthetic(replace(spec, subset=1, images=1))\n"
-            "config = TrainConfig(learning_rate=2e-2, max_epochs=3, patience=3, batch_size=3,\n"
-            "                     seed=0, head=sys.argv[1])\n"
+            "epochs = int(sys.argv[3])\n"
+            "config = TrainConfig(learning_rate=2e-2, max_epochs=epochs, patience=epochs,\n"
+            "                     batch_size=3, seed=0, head=sys.argv[1], head_hidden=int(sys.argv[2]))\n"
             "sys.stdout.write(train((tc, tl.values), (vc, vl.values), 4, 2, config).to_json())\n"
         ),
     }
 
     @pytest.mark.parametrize(
-        "task, head, epochs",
+        "task, head, hidden, epochs",
         [
-            pytest.param("planted3", "linear", 5, id="linear"),
-            pytest.param("planted3", "mlp", 5, id="mlp"),
-            pytest.param("33ch-100px", "linear", 3, id="33ch-100px-linear"),
-            pytest.param("33ch-100px", "mlp", 3, id="33ch-100px-mlp"),
+            pytest.param("planted3", "linear", 8, 5, id="linear"),
+            pytest.param("planted3", "mlp", 8, 5, id="mlp"),
+            pytest.param("33ch-100px", "linear", 8, 3, id="33ch-100px-linear"),
+            pytest.param("33ch-100px", "mlp", 8, 3, id="33ch-100px-mlp"),
+            pytest.param("33ch-100px", "mlp", 33, 5, id="33ch-100px-mlp-hidden33"),
         ],
     )
-    def test_report_independent_of_blas_threads(self, task, head, epochs):
+    def test_report_independent_of_blas_threads(self, task, head, hidden, epochs):
         src_dir = Path(qefilters.__file__).resolve().parent.parent
         tests_dir = Path(__file__).resolve().parent
         reports = []
@@ -445,7 +426,7 @@ class TestTrainLoop:
             env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join([str(src_dir), str(tests_dir)])
             done = subprocess.run(
-                [sys.executable, "-c", self._THREAD_SCRIPTS[task], head],
+                [sys.executable, "-c", self._THREAD_SCRIPTS[task], head, str(hidden), str(epochs)],
                 env=env, capture_output=True, check=True,
             )
             reports.append(done.stdout)
@@ -491,8 +472,6 @@ class TestTrainLoop:
             )
 
     def test_predict_shapes_and_accuracy(self):
-        from qefilters import predict
-
         cube, labels = tiny_dataset(seed=6, images=8, noise=0.05)
         val_cube, val_labels = tiny_dataset(seed=7, images=4, noise=0.05)
         config = TrainConfig(
@@ -503,6 +482,18 @@ class TestTrainLoop:
         pred = predict(report, val_cube)
         assert pred.shape == val_labels.shape
         assert (pred == val_labels).mean() > 0.9
+
+    def test_predict_restores_mlp_of_any_width(self):
+        cube, labels = tiny_dataset(seed=6, images=8, noise=0.05)
+        val_cube, val_labels = tiny_dataset(seed=7, images=4, noise=0.05)
+        config = TrainConfig(
+            learning_rate=2e-2, max_epochs=10, patience=10, batch_size=4, seed=3,
+            head="mlp", head_hidden=16,
+        )
+        report = train((cube, labels), (val_cube, val_labels), 1, 1, config)
+        assert report.head_state["w1"].shape == (16, 1)
+        cm = ConfusionMatrix(report.num_classes).accumulate(predict(report, val_cube), val_labels)
+        assert compute_metrics(cm).miou == report.best_val_miou
 
 
 @pytest.mark.slow
