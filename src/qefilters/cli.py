@@ -18,7 +18,14 @@ import numpy as np
 
 from .classical import fit_reduction_pipeline, project
 from .cubeio import read_cube, write_cube
-from .errors import ConfigurationError, DataError, QEFiltersError, TrainingDivergedError
+from .errors import (
+    ConfigurationError,
+    DataError,
+    QEFiltersError,
+    TrainingDivergedError,
+    config_value,
+    config_values,
+)
 from .filterbank import (
     EPSILON,
     FilterBankParams,
@@ -95,7 +102,7 @@ def _cmd_gen_synth(args) -> int:
     doc = _load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
-    counts = _values(doc, {"images": int, "train_images": int, "val_images": int}, "gen-synth config")
+    counts = config_values(doc, {"images": int, "train_images": int, "val_images": int}, "gen-synth config")
     images = {"train": counts.get("train_images", counts.get("images", 4))}
     images["val"] = counts.get("val_images", max(1, images["train"] // 4))
     out = _out_dir(args.out)
@@ -107,21 +114,6 @@ def _cmd_gen_synth(args) -> int:
         write_cube(cube, labels, out / f"{name}.hypc")
         print(f"wrote {out / (name + '.hypc')}")
     return 0
-
-
-def _value(doc: dict, key: str, kind, where: str):
-    """``kind(doc[key])``; a missing key or a value ``kind`` rejects is a DataError naming the key."""
-    if key not in doc:
-        raise DataError(f"{where} is missing required key {key!r}")
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where} key {key!r} has an invalid value {doc[key]!r}: {exc}") from exc
-
-
-def _values(doc: dict, kinds: dict, where: str) -> dict:
-    """The keys of ``kinds`` that ``doc`` sets, each converted by its kind."""
-    return {key: _value(doc, key, kind, where) for key, kind in kinds.items() if key in doc}
 
 
 def _class_weights(value) -> str | tuple[float, ...]:
@@ -156,10 +148,10 @@ def _train_config_from(doc: dict, seed_override) -> TrainConfig:
     reg_doc = doc.get("reg", {})
     if not isinstance(reg_doc, dict):
         raise DataError(f"train config key 'reg' must be an object, got {reg_doc!r}")
-    options = _values(doc, _TRAIN_KEYS, "train config")
+    options = config_values(doc, _TRAIN_KEYS, "train config")
     if seed_override is not None:
         options["seed"] = seed_override
-    return TrainConfig(reg=RegConfig(**_values(reg_doc, _REG_KEYS, "train config 'reg'")), **options)
+    return TrainConfig(reg=RegConfig(**config_values(reg_doc, _REG_KEYS, "train config 'reg'")), **options)
 
 
 def _read_labeled(path):
@@ -171,10 +163,10 @@ def _read_labeled(path):
 
 def _cmd_train(args) -> int:
     doc = _load_json(args.config)
-    train_path = _value(doc, "train_data", str, "train config")
-    val_path = _value(doc, "val_data", str, "train config")
-    num_filters = _value(doc, "num_filters", int, "train config")
-    peaks = _value(doc, "peaks_per_filter", int, "train config")
+    train_path = config_value(doc, "train_data", str, "train config")
+    val_path = config_value(doc, "val_data", str, "train config")
+    num_filters = config_value(doc, "num_filters", int, "train config")
+    peaks = config_value(doc, "peaks_per_filter", int, "train config")
     config = _train_config_from(doc, args.seed)
     train_cube, train_labels = _read_labeled(train_path)
     val_cube, val_labels = _read_labeled(val_path)
@@ -206,10 +198,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_reduce(args) -> int:
     doc = _load_json(args.config)
-    method = _value(doc, "method", str, "reduce config")
-    num_filters = _value(doc, "num_filters", int, "reduce config")
-    train_path = _value(doc, "train_data", str, "reduce config")
-    options = _values(doc, {"target_samples": int, "seed": int}, "reduce config")
+    method = config_value(doc, "method", str, "reduce config")
+    num_filters = config_value(doc, "num_filters", int, "reduce config")
+    train_path = config_value(doc, "train_data", str, "reduce config")
+    options = config_values(doc, {"target_samples": int, "seed": int}, "reduce config")
     cube, labels = _read_labeled(train_path)
     pipeline = fit_reduction_pipeline(
         [(cube, labels.values)],

@@ -20,6 +20,12 @@ length check, so corrupt headers cannot trigger huge allocations. Every
 failure mode is a distinct :class:`CubeFormatError` subclass carrying the
 byte offset where parsing stopped. Reflectance is stored as float32 and
 widened to float64 in memory.
+
+:func:`read_cube` reads a file into one ``np.uint8`` buffer, and
+:func:`parse_cube` takes views of its buffer, so the only large allocations
+of a read are that buffer and the float64 cube. Finiteness is checked once,
+on the stored float32 values; the cube is not checked again when it is
+wrapped.
 """
 
 from __future__ import annotations
@@ -93,11 +99,13 @@ class LabelMap:
 
 
 class _Cursor:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Reads a byte buffer front to back; each piece is a view, not a copy."""
+
+    def __init__(self, blob):
+        self.blob = memoryview(blob).cast("B")
         self.offset = 0
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.offset + count > len(self.blob):
             raise TruncatedFileError(self.offset + count, len(self.blob), self.offset)
         out = self.blob[self.offset : self.offset + count]
@@ -109,8 +117,12 @@ class _Cursor:
         return len(self.blob) - self.offset
 
 
-def parse_cube(blob: bytes) -> tuple[Hypercube, LabelMap | None]:
-    """Parse the byte layout above; raises CubeFormatError subclasses."""
+def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
+    """Parse the byte layout above; raises CubeFormatError subclasses.
+
+    ``blob`` is any contiguous byte buffer, such as ``bytes`` or a ``np.uint8``
+    array. The arrays returned are copies and never alias it.
+    """
     cur = _Cursor(blob)
     if cur.take(4) != MAGIC:
         raise BadMagicError(f"bad magic, expected {MAGIC!r}", 0)
@@ -138,12 +150,14 @@ def parse_cube(blob: bytes) -> tuple[Hypercube, LabelMap | None]:
 
     data_off = cur.offset
     count = b * c * h * w
-    data = np.frombuffer(cur.take(4 * count), dtype="<f4").astype(float)
-    finite = np.isfinite(data)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+    stored = np.frombuffer(cur.take(4 * count), dtype="<f4")
+    # The min or the max is NaN or infinite exactly when some value is, and
+    # neither needs a temporary array.
+    if not (np.isfinite(stored.min()) and np.isfinite(stored.max())):
+        bad = int(np.flatnonzero(~np.isfinite(stored))[0])
         raise NonFiniteValueError(f"reflectance value {bad} is not finite", data_off + 4 * bad)
-    cube = Hypercube(data.reshape(b, c, h, w), wavelengths)
+    # Every check Hypercube makes has been made above, on the stored values.
+    cube = Hypercube._checked(stored.astype(float).reshape(b, c, h, w), wavelengths)
 
     labels = None
     if cur.remaining:
@@ -223,7 +237,9 @@ def serialize_cube(cube: Hypercube, labels: LabelMap | None = None) -> bytes:
 
 
 def read_cube(path) -> tuple[Hypercube, LabelMap | None]:
-    return parse_cube(Path(path).read_bytes())
+    # The file goes straight into one numpy buffer, which parse_cube only
+    # takes views of.
+    return parse_cube(np.fromfile(path, dtype=np.uint8))
 
 
 def write_cube(cube: Hypercube, labels: LabelMap | None, path) -> None:

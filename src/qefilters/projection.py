@@ -21,6 +21,12 @@ path, and each keeps results independent of the BLAS thread count:
 
 ``tests/test_training.py::TestTrainLoop::test_report_independent_of_blas_threads``
 trains under one and two BLAS threads and compares the reports byte for byte.
+
+A :class:`Hypercube` checks its data when it is built, and nothing here
+checks it again. :func:`apply_filter_bank` and :func:`backward` read a
+contiguous cube in place; the large arrays they allocate are their results.
+``Hypercube._checked`` lets the file reader skip the check it has already
+made on the stored values.
 """
 
 from __future__ import annotations
@@ -65,6 +71,18 @@ class Hypercube:
     @property
     def dims(self) -> tuple[int, int, int, int]:
         return self.data.shape
+
+    @classmethod
+    def _checked(cls, data: np.ndarray, wavelengths_nm: np.ndarray) -> "Hypercube":
+        """A cube over arrays that already pass every check of the constructor.
+
+        For a reader that has checked the stored values: ``data`` is a finite
+        float64 (B, C, H, W) array and ``wavelengths_nm`` a finite, strictly
+        increasing float64 vector of length C. Nothing is checked again.
+        """
+        cube = cls.__new__(cls)
+        cube.data, cube.wavelengths_nm = data, wavelengths_nm
+        return cube
 
 
 @dataclass

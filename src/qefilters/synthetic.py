@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cubeio import LabelMap
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_value
 from .metrics import IGNORE_LABEL
 from .projection import Hypercube
 from .rng import make_generator
@@ -156,8 +156,16 @@ def gen_synthetic(spec: SynthSpec) -> tuple[Hypercube, LabelMap]:
     )
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 def spec_from_dict(doc: dict) -> SynthSpec:
-    """Build a SynthSpec from the CLI's JSON configuration layout."""
+    """Build a SynthSpec from the CLI's JSON configuration layout.
+
+    A value of the wrong type is a ConfigurationError that names its key.
+    """
+    where = "synthetic-data config"
     try:
         wl_doc = doc["wavelengths"]
         if isinstance(wl_doc, dict) and "preset" in wl_doc:
@@ -169,27 +177,33 @@ def spec_from_dict(doc: dict) -> SynthSpec:
             else:
                 raise ConfigurationError(f"unknown wavelength preset {preset!r}")
         elif isinstance(wl_doc, dict):
-            wl = np.linspace(float(wl_doc["start_nm"]), float(wl_doc["end_nm"]), int(wl_doc["channels"]))
+            grid = f"{where} 'wavelengths'"
+            wl = np.linspace(
+                config_value(wl_doc, "start_nm", float, grid),
+                config_value(wl_doc, "end_nm", float, grid),
+                config_value(wl_doc, "channels", int, grid),
+            )
         else:
-            wl = np.asarray(wl_doc, dtype=float)
+            wl = np.asarray(config_value(doc, "wavelengths", _floats, where))
+        bump = f"{where} 'classes'"
         classes = tuple(
             tuple(
-                SpectralBump(float(b["center_nm"]), float(b["width_nm"]), float(b["height"]))
+                SpectralBump(*(config_value(b, key, float, bump) for key in ("center_nm", "width_nm", "height")))
                 for b in bumps
             )
             for bumps in doc["classes"]
         )
         return SynthSpec(
             class_bumps=classes,
-            planted_centers_nm=tuple(float(c) for c in doc.get("planted_centers_nm", ())),
+            planted_centers_nm=config_value(doc, "planted_centers_nm", _floats, where, ()),
             wavelengths_nm=tuple(wl),
-            noise_sigma=float(doc.get("noise_sigma", 0.0)),
-            images=int(doc["images"]),
-            height=int(doc["height"]),
-            width=int(doc["width"]),
-            blobs_per_image=int(doc.get("blobs_per_image", 6)),
-            seed=int(doc.get("seed", 0)),
-            subset=int(doc.get("subset", 0)),
+            noise_sigma=config_value(doc, "noise_sigma", float, where, 0.0),
+            images=config_value(doc, "images", int, where),
+            height=config_value(doc, "height", int, where),
+            width=config_value(doc, "width", int, where),
+            blobs_per_image=config_value(doc, "blobs_per_image", int, where, 6),
+            seed=config_value(doc, "seed", int, where, 0),
+            subset=config_value(doc, "subset", int, where, 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed synthetic-data config: {exc}") from exc

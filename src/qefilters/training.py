@@ -17,6 +17,15 @@ head weight gradients, which sum over pixels, are plain ``np.einsum`` calls
 with no BLAS routine. Neither depends on the BLAS thread count (see
 :mod:`qefilters.projection`), so identical configs and data reproduce runs
 bit-for-bit under any thread count.
+
+Validation and allocation happen at fixed places. A cube is checked once,
+when it is built or read. ``train`` allocates one batch buffer, wrapped once
+in a ``Hypercube`` of zeros, and each step copies its images into it without
+checking them again. A step allocates its activations and, in the loss,
+one softmax array per term, which the term turns into its gradient in place
+by gathering and scattering at the label (Dice works image by image in one
+image-sized array); the heads add biases and apply ``tanh`` in place. Each
+epoch evaluates the bank once for both of its mIoU passes.
 """
 
 from __future__ import annotations
@@ -61,7 +70,8 @@ class LinearHead:
         self.bias = params["bias"].copy()
 
     def forward(self, feats: np.ndarray):
-        logits = _contract_channels(self.weight, feats) + self.bias[None, :, None, None]
+        logits = _contract_channels(self.weight, feats)
+        logits += self.bias[None, :, None, None]
         return logits, feats
 
     def backward(self, cache, d_logits: np.ndarray):
@@ -98,14 +108,19 @@ class MlpHead:
         self.b2 = params["b2"].copy()
 
     def forward(self, feats: np.ndarray):
-        pre = _contract_channels(self.w1, feats) + self.b1[None, :, None, None]
-        hidden = np.tanh(pre)
-        logits = _contract_channels(self.w2, hidden) + self.b2[None, :, None, None]
+        hidden = _contract_channels(self.w1, feats)
+        hidden += self.b1[None, :, None, None]
+        np.tanh(hidden, out=hidden)
+        logits = _contract_channels(self.w2, hidden)
+        logits += self.b2[None, :, None, None]
         return logits, (feats, hidden)
 
     def backward(self, cache, d_logits: np.ndarray):
         feats, hidden = cache
-        d_hidden = _contract_channels(self.w2.T, d_logits) * (1.0 - hidden**2)
+        d_tanh = np.square(hidden)
+        np.subtract(1.0, d_tanh, out=d_tanh)
+        d_hidden = _contract_channels(self.w2.T, d_logits)
+        d_hidden *= d_tanh
         grads = {
             "w1": np.einsum("bjhw,bfhw->jf", d_hidden, feats),
             "b1": np.sum(d_hidden, axis=(0, 2, 3)),
@@ -129,30 +144,27 @@ def make_head(kind: str, num_classes: int, num_features: int, rng, hidden: int =
 # ---------------------------------------------------------------------------
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the class axis, computed in one new array."""
+    p = logits - logits.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
-def _check_labels(labels: np.ndarray, num_classes: int, ignore: int) -> np.ndarray:
+def _check_labels(labels: np.ndarray, num_classes: int, ignore: int) -> tuple[np.ndarray, np.ndarray]:
+    """Targets of a (B, H, W) label map, each shaped (B, 1, H, W).
+
+    Returns the class index of every pixel, 0 on ignored ones, and the mask
+    of labelled pixels. The ignore value may lie inside [0, K), so callers
+    weight by the mask rather than trust the index to miss it.
+    """
     labels = np.asarray(labels)
     mask = labels != ignore
-    vals = labels[mask]
-    if vals.size and (vals.min() < 0 or vals.max() >= num_classes):
-        bad = vals[(vals < 0) | (vals >= num_classes)][0]
+    target = np.where(mask, labels, 0).astype(np.intp, copy=False)
+    if target.size and (target.min() < 0 or target.max() >= num_classes):
+        bad = labels[mask & ((labels < 0) | (labels >= num_classes))][0]
         raise DataError(f"label {bad} outside [0, {num_classes}) and not the ignore value")
-    return mask
-
-
-def _onehot_targets(labels: np.ndarray, num_classes: int, ignore: int) -> np.ndarray:
-    """(B, K, H, W) boolean one-hot targets, all False on ignored pixels.
-
-    The ignore value may lie inside [0, K), so the one-hot is masked rather
-    than trusted to miss it.
-    """
-    mask = _check_labels(labels, num_classes, ignore)
-    classes = np.arange(num_classes)[:, None, None]
-    return (np.asarray(labels)[:, None] == classes) & mask[:, None]
+    return target[:, None], mask[:, None]
 
 
 def weighted_cross_entropy(
@@ -172,20 +184,27 @@ def weighted_cross_entropy(
         raise ConfigurationError(f"class weights must have shape ({num_classes},)")
     if np.any(weights < 0):
         raise ConfigurationError("class weights must be non-negative")
-    onehot = _onehot_targets(labels, num_classes, ignore)
-    if not onehot.any():
+    target, mask = _check_labels(labels, num_classes, ignore)
+    if not mask.any():
         raise DataError("all pixels are ignored; cross-entropy undefined")
 
     probs = _softmax(logits)
-    pix_w = np.sum(onehot * weights[:, None, None], axis=1, keepdims=True)  # zero where ignored
+    pix_w = weights[target]
+    pix_w *= mask  # zero where ignored
     w_total = pix_w.sum()
     if w_total <= 0:
         raise ConfigurationError("total class weight over present labels is zero")
-    p_y = np.sum(probs * onehot, axis=1, keepdims=True)
-    log_p = np.log(np.maximum(p_y, np.finfo(float).tiny))
-    value = float(-np.sum(pix_w * log_p) / w_total)
-    grad = (probs - onehot) * (pix_w / w_total)
-    return value, grad
+    p_y = np.take_along_axis(probs, target, axis=1)
+    weighted_log_p = np.maximum(p_y, np.finfo(float).tiny)
+    np.log(weighted_log_p, out=weighted_log_p)
+    weighted_log_p *= pix_w
+    value = float(-np.sum(weighted_log_p) / w_total)
+    # (probs - onehot) * pix_w / w_total, built in the softmax's array
+    p_y -= mask
+    np.put_along_axis(probs, target, p_y, axis=1)
+    pix_w /= w_total
+    probs *= pix_w
+    return value, probs
 
 
 def soft_dice(
@@ -200,23 +219,40 @@ def soft_dice(
     one-hot targets g and sums over non-ignored pixels.
     """
     num_classes = logits.shape[1]
-    onehot = _onehot_targets(labels, num_classes, ignore)
-    if not onehot.any():
+    target, mask = _check_labels(labels, num_classes, ignore)
+    if not mask.any():
         raise DataError("all pixels are ignored; Dice undefined")
-    p = _softmax(logits) * onehot.any(axis=1, keepdims=True)  # zero where ignored
+    p = _softmax(logits)
+    p *= mask  # zero where ignored
 
-    pixels = (0, 2, 3)  # per-class sums, shaped (1, K, 1, 1)
-    overlap = np.sum(p * onehot, axis=pixels, keepdims=True)
-    denom = np.sum(p + onehot, axis=pixels, keepdims=True) + smoothing
+    # Image by image, so the temporaries stay small; ``image`` holds one
+    # image's values at a time. Adding each image's plane sums in image order
+    # adds the same values in the same order as one np.sum over the
+    # (B, H, W) axes, which the dense oracle in the tests checks.
+    onehot = (target == np.arange(num_classes)[:, None, None]) & mask
+    image = np.empty(p.shape[1:])
+    overlap = np.zeros(num_classes)
+    total = np.zeros(num_classes)
+    for b in range(len(p)):
+        overlap += np.sum(np.multiply(p[b], onehot[b], out=image), axis=(1, 2))
+        total += np.sum(np.add(p[b], onehot[b], out=image), axis=(1, 2))
+    denom = total + smoothing
     dice_k = (2.0 * overlap + smoothing) / denom
     value = float(1.0 - dice_k.mean())
 
-    # d(value)/dp then through the softmax Jacobian per pixel; p = 0 keeps
-    # ignored pixels at zero gradient.
-    d_p = -(2.0 * onehot / denom - (2.0 * overlap + smoothing) / denom**2)
-    d_p /= num_classes
-    inner = np.sum(d_p * p, axis=1, keepdims=True)
-    return value, p * (d_p - inner)
+    # d(value)/dp takes one value per class where g = 0 and one where g = 1;
+    # then through the softmax Jacobian per pixel, into p's array. p = 0
+    # keeps ignored pixels at zero gradient.
+    through_denom = (2.0 * overlap + smoothing) / denom**2
+    at_miss = -(2.0 * 0.0 / denom - through_denom) / num_classes
+    at_hit = -(2.0 * 1.0 / denom - through_denom) / num_classes
+    for b in range(len(p)):
+        image[...] = at_miss[:, None, None]
+        label = target[b]
+        np.put_along_axis(image, label, np.where(mask[b], at_hit[label], at_miss[label]), axis=0)
+        image -= np.sum(image * p[b], axis=0, keepdims=True)
+        p[b] *= image
+    return value, p
 
 
 def seg_loss(
@@ -226,9 +262,10 @@ def seg_loss(
     ignore: int = IGNORE_LABEL,
 ) -> tuple[float, np.ndarray]:
     """Combined class-weighted cross-entropy and soft Dice, unit weights each."""
-    ce, ce_grad = weighted_cross_entropy(logits, labels, class_weights, ignore)
+    ce, grad = weighted_cross_entropy(logits, labels, class_weights, ignore)
     dice, dice_grad = soft_dice(logits, labels, ignore)
-    return ce + dice, ce_grad + dice_grad
+    grad += dice_grad
+    return ce + dice, grad
 
 
 def inverse_frequency_weights(
@@ -409,34 +446,79 @@ class TrainReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _predict(bank, head, lam_norm, cube: Hypercube) -> np.ndarray:
-    response = evaluate_filter_bank(bank, lam_norm)
-    feats = apply_filter_bank(cube, response).data
-    logits, _ = head.forward(feats)
-    return np.argmax(logits, axis=1)
+def _argmax_classes(logits: np.ndarray) -> np.ndarray:
+    """``np.argmax(logits, axis=1)`` as K - 1 strict comparisons of whole class planes.
+
+    A later class wins only when strictly greater, so ties go to the lower
+    class index, as with ``np.argmax``.
+    """
+    best = logits[:, 0].copy()
+    pred = np.zeros(best.shape, dtype=np.intp)
+    better = np.empty(best.shape, dtype=bool)
+    for k in range(1, logits.shape[1]):
+        np.greater(logits[:, k], best, out=better)
+        pred[better] = k
+        np.maximum(best, logits[:, k], out=best)
+    return pred
 
 
-def _miou(bank, head, lam_norm, cube, labels, num_classes, ignore) -> float:
-    pred = _predict(bank, head, lam_norm, cube)
+def _predict(response, head, cube: Hypercube) -> np.ndarray:
+    # Nothing keeps the features or the head's cache, so they are freed
+    # before the argmax allocates.
+    logits = head.forward(apply_filter_bank(cube, response).data)[0]
+    return _argmax_classes(logits)
+
+
+def _miou(response, head, cube, labels, num_classes, ignore) -> float:
+    pred = _predict(response, head, cube)
     cm = ConfusionMatrix(num_classes).accumulate(pred, labels, ignore)
     return compute_metrics(cm).miou
 
 
-def _batch_gradients(bank, head, lam_norm, cube, labels, idx, weights, ignore, reg, epoch):
-    """Segmentation loss and named gradients of the images ``idx`` of ``cube``.
+class _BatchBuffer:
+    """Copies the images of each batch into one buffer that training reuses.
 
-    The batch copy and its activations are locals here, so they are freed on
-    return, before the caller gathers the next batch.
+    The buffer becomes a ``Hypercube`` once, over zeros, so a step neither
+    allocates its batch nor checks it for finiteness: the images come from a
+    cube that was checked when it was built.
     """
-    sub = Hypercube(cube.data[idx], cube.wavelengths_nm)
+
+    def __init__(self, cube: Hypercube, labels: np.ndarray, batch: int):
+        self._source = cube.data, labels
+        self._full = Hypercube(np.zeros((batch,) + cube.dims[1:]), cube.wavelengths_nm)
+        self._cubes = {batch: self._full}
+        self._labels = np.zeros((batch,) + labels.shape[1:], dtype=labels.dtype)
+
+    def load(self, idx: np.ndarray) -> tuple[Hypercube, np.ndarray]:
+        """The images ``idx`` of the split, as views of the buffer."""
+        count = len(idx)
+        if count not in self._cubes:  # the last, shorter batch of an epoch
+            self._cubes[count] = Hypercube(self._full.data[:count], self._full.wavelengths_nm)
+        cube, labels = self._cubes[count], self._labels[:count]
+        data, values = self._source
+        # mode="clip" lets np.take write straight into ``out``, where the
+        # default mode="raise" goes through a temporary copy; ``idx`` indexes
+        # the cube's own images. The labels keep the bounds check, since
+        # nothing checks that they hold as many images as the cube.
+        np.take(data, idx, axis=0, out=cube.data, mode="clip")
+        np.take(values, idx, axis=0, out=labels)
+        return cube, labels
+
+
+def _batch_gradients(bank, head, lam_norm, cube, labels, weights, ignore, reg, epoch):
+    """Segmentation loss and named gradients of one batch, ``cube`` and ``labels``.
+
+    The activations are locals here, so they are freed on return, before
+    the caller loads the next batch.
+    """
     response = evaluate_filter_bank(bank, lam_norm)
-    feats = apply_filter_bank(sub, response).data
+    feats = apply_filter_bank(cube, response).data
     logits, cache = head.forward(feats)
-    seg, d_logits = seg_loss(logits, labels[idx], weights, ignore)
+    seg, d_logits = seg_loss(logits, labels, weights, ignore)
     if not np.isfinite(seg):
         raise TrainingDivergedError(epoch)
     head_grads, d_feats = head.backward(cache, d_logits)
-    bank_grads, _ = backward(sub, response, d_feats)
+    bank_grads, _ = backward(cube, response, d_feats)
     _, reg_grads = total_reg(bank, reg)
     grads = {"bank": bank_grads + reg.lambda_reg * reg_grads}
     grads.update({f"head.{k}": g for k, g in head_grads.items()})
@@ -504,6 +586,7 @@ def train(
 
     num_images = train_cube.dims[0]
     batch = min(config.batch_size, num_images)
+    batches = _BatchBuffer(train_cube, train_labels, batch)
 
     records: list[EpochRecord] = []
     centroid_history = []
@@ -522,9 +605,9 @@ def train(
         pending_grads: dict[str, np.ndarray] | None = None
         pending = 0
         for start in starts:
-            idx = order[start : start + batch]
+            batch_cube, batch_labels = batches.load(order[start : start + batch])
             seg, grads = _batch_gradients(
-                bank, head, lam_norm, train_cube, train_labels, idx, weights, ignore, config.reg, epoch
+                bank, head, lam_norm, batch_cube, batch_labels, weights, ignore, config.reg, epoch
             )
             epoch_seg.append(seg)
             if pending_grads is None:
@@ -547,8 +630,9 @@ def train(
             pending = 0
 
         reg_losses, _ = total_reg(bank, config.reg)
-        train_miou = _miou(bank, head, lam_norm, train_cube, train_labels, num_classes, ignore)
-        val_miou = _miou(bank, head, lam_norm, val_cube, val_labels, num_classes, ignore)
+        response = evaluate_filter_bank(bank, lam_norm)
+        train_miou = _miou(response, head, train_cube, train_labels, num_classes, ignore)
+        val_miou = _miou(response, head, val_cube, val_labels, num_classes, ignore)
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -597,4 +681,4 @@ def predict(report: TrainReport, cube: Hypercube) -> np.ndarray:
     head = make_head(report.head_kind, report.num_classes, bank.num_filters, make_generator(0))
     # set_parameters replaces every array, so the state fixes the hidden width.
     head.set_parameters(report.head_state)
-    return _predict(bank, head, lam_norm, cube)
+    return _predict(evaluate_filter_bank(bank, lam_norm), head, cube)

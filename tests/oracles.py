@@ -1,9 +1,17 @@
-"""Scalar reference forms of one filter peak, for tests to check the vectorized bank against."""
+"""Reference forms for tests to check the package against.
+
+The scalar form of one filter peak checks the vectorized bank. The dense
+one-hot forms of the two loss terms check the in-place ones in
+``qefilters.training``: they compute the same formulas with a boolean
+(B, K, H, W) one-hot and fresh arrays at every step, so the two must agree
+byte for byte.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from qefilters.errors import ConfigurationError, DataError
 from qefilters.filterbank import sigmoid
 
 
@@ -50,3 +58,58 @@ def peak_response(peak: PeakParams, lambda_norm) -> np.ndarray | float:
     if np.ndim(lambda_norm) == 0:
         return float(g)
     return g
+
+
+def _dense_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _onehot_targets(labels: np.ndarray, num_classes: int, ignore: int) -> np.ndarray:
+    """(B, K, H, W) boolean one-hot targets, all False on ignored pixels."""
+    labels = np.asarray(labels)
+    mask = labels != ignore
+    vals = labels[mask]
+    if vals.size and (vals.min() < 0 or vals.max() >= num_classes):
+        bad = vals[(vals < 0) | (vals >= num_classes)][0]
+        raise DataError(f"label {bad} outside [0, {num_classes}) and not the ignore value")
+    classes = np.arange(num_classes)[:, None, None]
+    return (labels[:, None] == classes) & mask[:, None]
+
+
+def dense_weighted_cross_entropy(logits, labels, class_weights, ignore):
+    """Class-weighted cross-entropy and its gradient on a dense one-hot."""
+    weights = np.asarray(class_weights, dtype=float)
+    if weights.shape != (logits.shape[1],) or np.any(weights < 0):
+        raise ConfigurationError("bad class weights")
+    onehot = _onehot_targets(labels, logits.shape[1], ignore)
+    if not onehot.any():
+        raise DataError("all pixels are ignored; cross-entropy undefined")
+    probs = _dense_softmax(logits)
+    pix_w = np.sum(onehot * weights[:, None, None], axis=1, keepdims=True)
+    w_total = pix_w.sum()
+    if w_total <= 0:
+        raise ConfigurationError("total class weight over present labels is zero")
+    p_y = np.sum(probs * onehot, axis=1, keepdims=True)
+    log_p = np.log(np.maximum(p_y, np.finfo(float).tiny))
+    value = float(-np.sum(pix_w * log_p) / w_total)
+    return value, (probs - onehot) * (pix_w / w_total)
+
+
+def dense_soft_dice(logits, labels, ignore, smoothing=1.0):
+    """Soft Dice averaged over classes and its gradient on a dense one-hot."""
+    num_classes = logits.shape[1]
+    onehot = _onehot_targets(labels, num_classes, ignore)
+    if not onehot.any():
+        raise DataError("all pixels are ignored; Dice undefined")
+    p = _dense_softmax(logits) * onehot.any(axis=1, keepdims=True)
+    pixels = (0, 2, 3)
+    overlap = np.sum(p * onehot, axis=pixels, keepdims=True)
+    denom = np.sum(p + onehot, axis=pixels, keepdims=True) + smoothing
+    dice_k = (2.0 * overlap + smoothing) / denom
+    value = float(1.0 - dice_k.mean())
+    d_p = -(2.0 * onehot / denom - (2.0 * overlap + smoothing) / denom**2)
+    d_p /= num_classes
+    inner = np.sum(d_p * p, axis=1, keepdims=True)
+    return value, p * (d_p - inner)

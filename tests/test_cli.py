@@ -279,6 +279,22 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "setting, key",
         [
+            pytest.param({"noise_sigma": "x"}, "noise_sigma", id="noise_sigma"),
+            pytest.param({"wavelengths": {"start_nm": 470, "end_nm": "far", "channels": 15}}, "end_nm",
+                         id="wavelengths.end_nm"),
+            pytest.param({"blobs_per_image": [4]}, "blobs_per_image", id="blobs_per_image"),
+        ],
+    )
+    def test_gen_synth_spec_value_of_wrong_type(self, tmp_path, capsys, setting, key):
+        doc = json.loads(synth_config(tmp_path).read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(doc, **setting)))
+        assert cli(["gen-synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
             pytest.param({"learning_rate": "fast"}, "learning_rate", id="learning_rate"),
             pytest.param({"num_filters": "two"}, "num_filters", id="num_filters"),
             pytest.param({"reg": {"enabled": 5}}, "enabled", id="reg.enabled"),

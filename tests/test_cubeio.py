@@ -53,6 +53,25 @@ class TestRoundTrip:
         assert labels is None
         np.testing.assert_array_equal(restored.data, cube.data)
 
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_read_cube_is_parse_of_the_file_bytes(self, tmp_path, with_labels):
+        cube, labels = sample_cube(seed=4, b=3, c=5, h=4, w=3, with_labels=with_labels)
+        path = tmp_path / "cube.hypc"
+        write_cube(cube, labels, path)
+        read, read_labels = read_cube(path)
+        parsed, parsed_labels = parse_cube(path.read_bytes())
+        for got, want in ((read.data, parsed.data), (read.wavelengths_nm, parsed.wavelengths_nm)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable and got.flags.c_contiguous
+        if with_labels:
+            assert read_labels.values.dtype == parsed_labels.values.dtype
+            np.testing.assert_array_equal(read_labels.values, parsed_labels.values)
+            assert (read_labels.num_classes, read_labels.ignore_value) == (
+                parsed_labels.num_classes, parsed_labels.ignore_value)
+        else:
+            assert read_labels is None and parsed_labels is None
+
     def test_ignore_labels_survive(self, tmp_path):
         cube, labels = sample_cube()
         labels.values[0, 0, 0] = labels.ignore_value
@@ -141,20 +160,30 @@ class TestParseErrors:
 
 
 class TestFuzzSmoke:
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_single_byte_mutations_classified(self, data):
+    @staticmethod
+    def mutate_and_parse(data, buffer):
         cube, labels = sample_cube(seed=1)
         blob = bytearray(serialize_cube(cube, labels))
         pos = data.draw(st.integers(0, len(blob) - 1))
         value = data.draw(st.integers(0, 255))
         blob[pos] = value
         try:
-            parsed_cube, parsed_labels = parse_cube(bytes(blob))
+            parsed_cube, parsed_labels = parse_cube(buffer(blob))
         except CubeFormatError:
             return  # classified rejection is fine
         # Accepted parses must faithfully reflect the mutated bytes.
         assert serialize_cube(parsed_cube, parsed_labels) == bytes(blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_byte_mutations_classified(self, data):
+        self.mutate_and_parse(data, bytes)
+
+    # read_cube hands parse_cube a np.uint8 array rather than bytes.
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_byte_mutations_classified_in_uint8_buffer(self, data):
+        self.mutate_and_parse(data, lambda blob: np.frombuffer(bytes(blob), dtype=np.uint8))
 
     def test_write_rejects_mismatched_labels(self, tmp_path):
         cube, _ = sample_cube()

@@ -31,11 +31,12 @@ from qefilters import (
 )
 from qefilters.filterbank import FilterBankParams, WavelengthRange
 from qefilters.metrics import IGNORE_LABEL
-from qefilters.projection import apply_filter_bank
+from qefilters.projection import _contract_channels, apply_filter_bank
 from qefilters.regularization import total_reg
-from qefilters.training import AdamW, _batch_gradients, make_head
+from qefilters.training import AdamW, _argmax_classes, _batch_gradients, _BatchBuffer, make_head
 from qefilters.rng import make_generator
 
+from oracles import dense_soft_dice, dense_weighted_cross_entropy
 from tasks import planted3_config, planted3_data, planted3_spec
 
 HYKO = WavelengthRange(470.0, 630.0)
@@ -100,6 +101,52 @@ class TestSegLoss:
         with pytest.raises(DataError):
             seg_loss(logits, np.array([[[3]]]), np.ones(2))
 
+    @staticmethod
+    def _dense_case(name):
+        rng = np.random.default_rng(sum(map(ord, name)))
+        shape = {
+            "single-pixel-many-classes": (2, 12, 1, 1),
+            "single-class": (9, 1, 2, 3),
+            "planes-past-8192-pixels": (3, 4, 96, 100),
+        }.get(name, (2, 4, 6, 5))
+        b, k, h, w = shape
+        logits = 3.0 * rng.normal(size=shape)
+        labels = rng.integers(0, k, (b, h, w))
+        weights = np.ones(k)
+        ignore = IGNORE_LABEL
+        if name == "ignore-inside-range":
+            ignore = 2
+        elif name == "ignored-rows":
+            labels[0, 1:3] = IGNORE_LABEL
+            labels[1, :] = IGNORE_LABEL
+        elif name == "non-uniform-weights":
+            weights = rng.random(k) * 3.0
+        elif name == "single-labelled-pixel":
+            labels[:] = IGNORE_LABEL
+            labels[1, 4, 2] = 3
+        return logits, labels, weights, ignore
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ignore-inside-range", "ignored-rows", "non-uniform-weights", "single-labelled-pixel",
+         "single-pixel-many-classes", "single-class", "planes-past-8192-pixels"],
+    )
+    def test_terms_equal_dense_one_hot_oracle(self, name):
+        logits, labels, weights, ignore = self._dense_case(name)
+        before = logits.copy()
+        ce, ce_grad = weighted_cross_entropy(logits, labels, weights, ignore)
+        ref_ce, ref_ce_grad = dense_weighted_cross_entropy(logits, labels, weights, ignore)
+        assert ce == ref_ce
+        np.testing.assert_array_equal(ce_grad, ref_ce_grad)
+        dice, dice_grad = soft_dice(logits, labels, ignore)
+        ref_dice, ref_dice_grad = dense_soft_dice(logits, labels, ignore)
+        assert dice == ref_dice
+        np.testing.assert_array_equal(dice_grad, ref_dice_grad)
+        value, grad = seg_loss(logits, labels, weights, ignore)
+        assert value == ref_ce + ref_dice
+        np.testing.assert_array_equal(grad, ref_ce_grad + ref_dice_grad)
+        np.testing.assert_array_equal(logits, before)  # the terms leave their input alone
+
     def test_dice_component_zero_for_perfect(self):
         labels = np.array([[[0, 1], [1, 0]]])
         logits = np.full((1, 2, 2, 2), -20.0)
@@ -107,6 +154,48 @@ class TestSegLoss:
             logits[b, labels[b, h, w], h, w] = 20.0
         dice, _ = soft_dice(logits, labels)
         assert dice == pytest.approx(0.0, abs=1e-8)
+
+
+class TestArgmaxClasses:
+    def test_matches_np_argmax_with_ties_and_infinities(self):
+        rng = np.random.default_rng(5)
+        logits = rng.integers(-2, 3, size=(3, 6, 5, 7)).astype(float)  # many ties
+        logits[0, 2, 0, 0] = logits[0, 4, 0, 0] = np.inf
+        logits[1, :, 1, 1] = -np.inf
+        logits[2, :, 2, 2] = np.inf
+        logits[2, 3, 3, :] = -np.inf
+        logits[2, 0, 4, 4] = np.inf
+        pred = _argmax_classes(logits)
+        expected = np.argmax(logits, axis=1)
+        assert pred.dtype == expected.dtype
+        np.testing.assert_array_equal(pred, expected)
+
+    def test_single_class(self):
+        np.testing.assert_array_equal(_argmax_classes(np.ones((2, 1, 3, 3))), np.zeros((2, 3, 3)))
+
+
+class TestHeadWeightGradients:
+    # A BLAS product (np.tensordot) sums the pixels in another order and
+    # changes the last bits at this size, so these pin the plain einsum.
+    def test_linear_weight_gradient_is_the_plain_einsum(self):
+        rng = np.random.default_rng(7)
+        feats = rng.normal(size=(2, 3, 32, 32))
+        head = make_head("linear", 5, 3, make_generator(1))
+        logits, cache = head.forward(feats)
+        d_logits = rng.normal(size=logits.shape)
+        grads, _ = head.backward(cache, d_logits)
+        assert grads["weight"].tobytes() == np.einsum("bkhw,bfhw->kf", d_logits, feats).tobytes()
+
+    def test_mlp_weight_gradients_are_the_plain_einsum(self):
+        rng = np.random.default_rng(8)
+        feats = rng.normal(size=(2, 3, 32, 32))
+        head = make_head("mlp", 5, 3, make_generator(2))
+        logits, (_, hidden) = head.forward(feats)
+        d_logits = rng.normal(size=logits.shape)
+        grads, _ = head.backward((feats, hidden), d_logits)
+        d_hidden = _contract_channels(head.w2.T, d_logits) * (1.0 - hidden**2)
+        assert grads["w1"].tobytes() == np.einsum("bjhw,bfhw->jf", d_hidden, feats).tobytes()
+        assert grads["w2"].tobytes() == np.einsum("bkhw,bjhw->kj", d_logits, hidden).tobytes()
 
 
 class TestAdam:
@@ -202,9 +291,7 @@ class TestEndToEndGradient:
 
         assert total_reg(bank, reg_cfg)[0].separation > 0.0
         # the bank gradient the training loop applies
-        _, grads = _batch_gradients(
-            bank, head, lam, cube, labels, np.arange(2), weights, IGNORE_LABEL, reg_cfg, 1
-        )
+        _, grads = _batch_gradients(bank, head, lam, cube, labels, weights, IGNORE_LABEL, reg_cfg, 1)
         full_grad = grads["bank"]
 
         step = 1e-5
@@ -244,17 +331,37 @@ class TestEndToEndGradient:
             return seg + cfg.lambda_reg * reg.total
 
         initial = current_loss(bank)
-        everything = np.arange(cube.dims[0])
         for _ in range(50):
-            _, grads = _batch_gradients(
-                bank, head, lam, cube, labels, everything, weights, IGNORE_LABEL, cfg, 1
-            )
+            _, grads = _batch_gradients(bank, head, lam, cube, labels, weights, IGNORE_LABEL, cfg, 1)
             named = {"bank": bank.table}
             named.update({f"head.{k}": p for k, p in head.parameters().items()})
             updated = opt.step(named, grads)
             bank = FilterBankParams(updated["bank"], HYKO)
             head.set_parameters({k.removeprefix("head."): v for k, v in updated.items() if k != "bank"})
         assert current_loss(bank) < initial
+
+
+class TestBatchBuffer:
+    def test_remainder_batch_gives_the_gradients_of_a_fresh_copy(self):
+        # 5 images in batches of 2: the epoch's last batch holds one image and
+        # is loaded into a buffer that still holds the batch before it.
+        cube, labels = tiny_dataset(seed=13, images=5)
+        lam = normalize_wavelengths(cube.wavelengths_nm, HYKO)
+        bank = init_filter_bank(2, 1, HYKO, seed=3)
+        head = make_head("mlp", 2, 2, make_generator(7))
+        weights = np.array([0.7, 1.3])
+        reg = RegConfig()
+        batches = _BatchBuffer(cube, labels, 2)
+        for idx in (np.array([4, 1]), np.array([0, 3]), np.array([2])):
+            batch_cube, batch_labels = batches.load(idx)
+            assert batch_cube.dims == (len(idx),) + cube.dims[1:]
+            got = _batch_gradients(bank, head, lam, batch_cube, batch_labels, weights, IGNORE_LABEL, reg, 1)
+            fresh = Hypercube(cube.data[idx], cube.wavelengths_nm)
+            want = _batch_gradients(bank, head, lam, fresh, labels[idx], weights, IGNORE_LABEL, reg, 1)
+            assert got[0] == want[0]
+            assert got[1].keys() == want[1].keys()
+            for name, grad in want[1].items():
+                assert got[1][name].tobytes() == grad.tobytes(), name
 
 
 class TestMlpHead:
