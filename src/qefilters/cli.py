@@ -196,11 +196,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _paths(value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("expected a list of file paths")
+    return value
+
+
 def _cmd_reduce(args) -> int:
     doc = _load_json(args.config)
     method = config_value(doc, "method", str, "reduce config")
     num_filters = config_value(doc, "num_filters", int, "reduce config")
     train_path = config_value(doc, "train_data", str, "reduce config")
+    apply_paths = config_value(doc, "apply", _paths, "reduce config", default=[])
     options = config_values(doc, {"target_samples": int, "seed": int}, "reduce config")
     cube, labels = _read_labeled(train_path)
     pipeline = fit_reduction_pipeline(
@@ -214,7 +221,7 @@ def _cmd_reduce(args) -> int:
     out = _out_dir(args.out)
     (out / "pipeline.json").write_text(pipeline.to_json())
     print(f"wrote {out / 'pipeline.json'}")
-    for path in doc.get("apply", []):
+    for path in apply_paths:
         src_cube, src_labels = read_cube(path)
         reduced = project(src_cube, pipeline.stats, pipeline.projection)
         # Reduced channels have no physical wavelengths; store component indices.
@@ -247,7 +254,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_filters(args) -> int:
-    params = FilterBankParams.from_json(Path(args.filters).read_text())
+    params = FilterBankParams.from_json_dict(_load_json(args.filters))
     if args.channels:
         cube, _ = read_cube(args.channels)
         channels = cube.wavelengths_nm

@@ -25,14 +25,14 @@ widened to float64 in memory.
 :func:`parse_cube` takes views of its buffer, so the only large allocations
 of a read are that buffer and the float64 cube. Finiteness is checked once,
 on the stored float32 values; the cube is not checked again when it is
-wrapped.
+wrapped. :func:`write_cube` holds one payload-sized array, the float32 copy
+of the cube, and writes it to the file directly.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -185,12 +185,11 @@ def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
     return cube, labels
 
 
-def serialize_cube(cube: Hypercube, labels: LabelMap | None = None) -> bytes:
-    """Encode a cube and optional labels in the byte layout above.
+def _encode(cube: Hypercube, labels: LabelMap | None) -> tuple[bytes, np.ndarray, bytes]:
+    """The header, the float32 payload and the label block of the layout above.
 
-    Raises :class:`DataError`, before any bytes are produced, for anything
-    :func:`parse_cube` would reject, so a successful write reads back equal
-    to its input after float32 rounding of the reflectances.
+    The label block is empty without labels. Raises :class:`DataError` for
+    anything :func:`parse_cube` would reject, before anything is returned.
     """
     b, c, h, w = cube.dims
     if min(cube.dims) < 1:
@@ -202,13 +201,15 @@ def serialize_cube(cube: Hypercube, labels: LabelMap | None = None) -> bytes:
         data = np.asarray(cube.data).astype("<f4")
     if not np.all(np.isfinite(data)):
         raise DataError("reflectance values are not finite as float32")
-    parts = [
-        MAGIC,
-        struct.pack("<H", VERSION),
-        struct.pack("<4I", b, c, h, w),
-        wavelengths.astype("<f8").tobytes(),
-        data.tobytes(),
-    ]
+    header = b"".join(
+        [
+            MAGIC,
+            struct.pack("<H", VERSION),
+            struct.pack("<4I", b, c, h, w),
+            wavelengths.astype("<f8").tobytes(),
+        ]
+    )
+    label_block = b""
     if labels is not None:
         values = np.asarray(labels.values)
         if values.shape != (b, h, w):
@@ -227,13 +228,26 @@ def serialize_cube(cube: Hypercube, labels: LabelMap | None = None) -> bytes:
             raise DataError(
                 f"label {ints[bad][0]} outside [0, {num_classes}) and not the ignore value {ignore}"
             )
-        parts += [
-            LABEL_MAGIC,
-            struct.pack("<H", num_classes),
-            struct.pack("<H", ignore),
-            ints.astype("<u2").tobytes(),
-        ]
-    return b"".join(parts)
+        label_block = b"".join(
+            [
+                LABEL_MAGIC,
+                struct.pack("<H", num_classes),
+                struct.pack("<H", ignore),
+                ints.astype("<u2").tobytes(),
+            ]
+        )
+    return header, data, label_block
+
+
+def serialize_cube(cube: Hypercube, labels: LabelMap | None = None) -> bytes:
+    """Encode a cube and optional labels in the byte layout above.
+
+    Raises :class:`DataError`, before any bytes are produced, for anything
+    :func:`parse_cube` would reject, so a successful write reads back equal
+    to its input after float32 rounding of the reflectances.
+    """
+    header, data, label_block = _encode(cube, labels)
+    return b"".join([header, data.tobytes(), label_block])
 
 
 def read_cube(path) -> tuple[Hypercube, LabelMap | None]:
@@ -243,4 +257,14 @@ def read_cube(path) -> tuple[Hypercube, LabelMap | None]:
 
 
 def write_cube(cube: Hypercube, labels: LabelMap | None, path) -> None:
-    Path(path).write_bytes(serialize_cube(cube, labels))
+    """Write the bytes of :func:`serialize_cube` to ``path``.
+
+    Every check runs before the file is opened, so a rejected cube creates
+    no file. The float32 payload goes from its array to the file, with no
+    copy into a bytes object.
+    """
+    header, data, label_block = _encode(cube, labels)
+    with open(path, "wb") as f:
+        f.write(header)
+        data.tofile(f)
+        f.write(label_block)

@@ -14,13 +14,18 @@ path, and each keeps results independent of the BLAS thread count:
   (:func:`_contract_channels`). BLAS splits the output pixels across threads,
   and each output is one whole dot product over channels computed by one
   thread, so the thread count does not change it;
-- a reduction over the pixel axis is a plain ``np.einsum`` (no ``optimize=``)
-  or ``np.sum`` call, with no BLAS routine, whose summation order is fixed by
-  the array shapes. A GEMM here would split the pixel sum across threads and
-  change its bytes with the thread count.
+- a weighted reduction over the pixel axis (the bank gradient and the head
+  weight gradients) is one BLAS GEMM per fixed block of ``_PIXEL_BLOCK``
+  pixels, image by image, with the blocks' products added in block order
+  (:func:`_reduce_pixels`). The block size is fixed, so the summation order
+  depends on the array shapes alone. One GEMM over a whole image's pixels,
+  or over blocks four times longer, gave different bytes under one and two
+  BLAS threads; this block size gives the same bytes at every shape tested.
 
 ``tests/test_training.py::TestTrainLoop::test_report_independent_of_blas_threads``
-trains under one and two BLAS threads and compares the reports byte for byte.
+trains under one and two BLAS threads and compares the reports byte for byte,
+and ``tests/test_projection.py::TestReducePixels`` compares the bytes of
+:func:`_reduce_pixels` under one and two threads at the shapes training uses.
 
 A :class:`Hypercube` checks its data when it is built, and nothing here
 checks it again. :func:`apply_filter_bank` and :func:`backward` read a
@@ -112,6 +117,31 @@ def _contract_channels(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(b, matrix.shape[0], h, w)
 
 
+# Pixels per GEMM in _reduce_pixels. A constant, not an option: it fixes the
+# summation order, and blocks four times longer gave different bytes under one
+# and two BLAS threads.
+_PIXEL_BLOCK = 4096
+
+
+def _reduce_pixels(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[f,c] = sum_{b,h,w} a[b,f,h,w] * x[b,c,h,w], in fixed pixel blocks.
+
+    ``a`` is (B, F, H, W) and ``x`` is (B, C, H, W); either may be any view
+    (a non-contiguous image is copied by the reshape). Adds
+    ``a_blk @ x_blk.T`` over blocks of ``_PIXEL_BLOCK`` pixels, image by image
+    and block by block in order, starting from zeros.
+    """
+    pixels = a.shape[2] * a.shape[3]
+    out = np.zeros((a.shape[1], x.shape[1]))
+    for a_img, x_img in zip(a, x):
+        a_img = a_img.reshape(-1, pixels)
+        x_img = x_img.reshape(-1, pixels)
+        for start in range(0, pixels, _PIXEL_BLOCK):
+            stop = start + _PIXEL_BLOCK
+            out += a_img[:, start:stop] @ x_img[:, start:stop].T
+    return out
+
+
 def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> ReducedCube:
     """Contract the spectral axis: Y[b,f,h,w] = sum_c weights[f,c] * X[b,c,h,w]."""
     num_filters, num_channels = response.weights.shape
@@ -137,7 +167,9 @@ def backward(
     ``cached`` must come from :func:`evaluate_filter_bank` on the same
     wavelength grid the cube was projected with. The chain runs::
 
-        dL/dQ[f,c]   = sum_{b,h,w} upstream[b,f,h,w] * X[b,c,h,w]
+        dL/dQ[f,c]   = sum_{b,h,w} upstream[b,f,h,w] * X[b,c,h,w], one GEMM
+                      per fixed block of pixels, added in block order
+                      (:func:`_reduce_pixels`)
         Q -> raw sum  quotient rule; the max flows through the first channel
                       attaining it (subgradient convention, ties measure zero)
         raw -> peak   sum over peaks
@@ -162,7 +194,7 @@ def backward(
             f"cached response has {num_channels} channels but cube has {cube.dims[1]}"
         )
 
-    grad_q = np.einsum("bfhw,bchw->fc", upstream, cube.data)
+    grad_q = _reduce_pixels(upstream, cube.data)
 
     # Quotient rule through Q = raw / (row_max + eps) with the subgradient max.
     denom = cached.row_max + EPSILON

@@ -13,10 +13,11 @@ construction), head parameters default to 1e-2.
 
 The training loop itself is single-threaded. Head contractions over the
 feature axis are one BLAS GEMM per image (``projection._contract_channels``);
-head weight gradients, which sum over pixels, are plain ``np.einsum`` calls
-with no BLAS routine. Neither depends on the BLAS thread count (see
-:mod:`qefilters.projection`), so identical configs and data reproduce runs
-bit-for-bit under any thread count.
+head weight gradients, which sum over pixels, are one BLAS GEMM per fixed
+block of pixels, added in block order (``projection._reduce_pixels``).
+Neither depends on the BLAS thread count (see :mod:`qefilters.projection`),
+so identical configs and data reproduce runs bit-for-bit under any thread
+count.
 
 Validation and allocation happen at fixed places. A cube is checked once,
 when it is built or read. ``train`` allocates one batch buffer, wrapped once
@@ -44,7 +45,7 @@ from .filterbank import (
     normalize_wavelengths,
 )
 from .metrics import IGNORE_LABEL, ConfusionMatrix, compute_metrics
-from .projection import Hypercube, _contract_channels, apply_filter_bank, backward
+from .projection import Hypercube, _contract_channels, _reduce_pixels, apply_filter_bank, backward
 from .regularization import RegConfig, total_reg
 from .rng import make_generator
 
@@ -77,7 +78,7 @@ class LinearHead:
     def backward(self, cache, d_logits: np.ndarray):
         feats = cache
         grads = {
-            "weight": np.einsum("bkhw,bfhw->kf", d_logits, feats),
+            "weight": _reduce_pixels(d_logits, feats),
             "bias": np.sum(d_logits, axis=(0, 2, 3)),
         }
         d_feats = _contract_channels(self.weight.T, d_logits)
@@ -122,9 +123,9 @@ class MlpHead:
         d_hidden = _contract_channels(self.w2.T, d_logits)
         d_hidden *= d_tanh
         grads = {
-            "w1": np.einsum("bjhw,bfhw->jf", d_hidden, feats),
+            "w1": _reduce_pixels(d_hidden, feats),
             "b1": np.sum(d_hidden, axis=(0, 2, 3)),
-            "w2": np.einsum("bkhw,bjhw->kj", d_logits, hidden),
+            "w2": _reduce_pixels(d_logits, hidden),
             "b2": np.sum(d_logits, axis=(0, 2, 3)),
         }
         d_feats = _contract_channels(self.w1.T, d_hidden)

@@ -4,7 +4,8 @@ The scalar form of one filter peak checks the vectorized bank. The dense
 one-hot forms of the two loss terms check the in-place ones in
 ``qefilters.training``: they compute the same formulas with a boolean
 (B, K, H, W) one-hot and fresh arrays at every step, so the two must agree
-byte for byte.
+byte for byte. The blocked pixel reduction checks the head weight
+gradients, which ``qefilters.training`` sums in the same fixed blocks.
 """
 
 from dataclasses import dataclass
@@ -113,3 +114,23 @@ def dense_soft_dice(logits, labels, ignore, smoothing=1.0):
     d_p /= num_classes
     inner = np.sum(d_p * p, axis=1, keepdims=True)
     return value, p * (d_p - inner)
+
+
+PIXEL_BLOCK = 4096
+
+
+def blocked_pixel_reduction(a, x):
+    """out[f,c] = sum_{b,h,w} a[b,f,h,w] * x[b,c,h,w] as an explicit loop.
+
+    Adds ``a @ x.T`` over the images and, within each image, over slices of
+    ``PIXEL_BLOCK`` pixels in order, starting from zeros.
+    """
+    _, num_rows, height, width = a.shape
+    pixels = height * width
+    out = np.zeros((num_rows, x.shape[1]))
+    for b in range(len(a)):
+        a_img = a[b].reshape(num_rows, pixels)
+        x_img = x[b].reshape(x.shape[1], pixels)
+        for start in range(0, pixels, PIXEL_BLOCK):
+            out += a_img[:, start : start + PIXEL_BLOCK] @ x_img[:, start : start + PIXEL_BLOCK].T
+    return out

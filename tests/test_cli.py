@@ -328,3 +328,23 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert cli(["reduce", "--config", str(path), "--out", str(tmp_path / "red")]) == 2
         assert "num_filters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, "val.hypc", ["val.hypc", 3]], ids=["number", "string", "mixed-list"])
+    def test_reduce_apply_of_wrong_type_writes_nothing(self, tmp_path, capsys, value):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        doc = {"method": "pca", "num_filters": 2, "train_data": str(data_dir / "train.hypc"), "apply": value}
+        path = tmp_path / "reduce.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "red"
+        assert cli(["reduce", "--config", str(path), "--out", str(out)]) == 2
+        assert "'apply'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_export_filters_of_a_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "filters.json"
+        path.write_text("{not json")
+        assert cli(["export-filters", "--filters", str(path), "--out", str(tmp_path / "exp")]) == 2
+        assert str(path) in capsys.readouterr().err

@@ -72,6 +72,18 @@ class TestRoundTrip:
         else:
             assert read_labels is None and parsed_labels is None
 
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_file_bytes_are_the_serialized_bytes(self, tmp_path, with_labels):
+        cube, labels = sample_cube(seed=5, b=3, c=6, h=5, w=4, with_labels=with_labels)
+        # A strided view, so the file is written in index order, not memory order.
+        strided = Hypercube(cube.data[:, ::2].transpose(0, 1, 3, 2)[..., ::-1, :], cube.wavelengths_nm[::2])
+        assert not strided.data.flags.c_contiguous
+        if labels is not None:
+            labels = LabelMap(labels.values.transpose(0, 2, 1)[:, ::-1], labels.num_classes)
+        path = tmp_path / "cube.hypc"
+        write_cube(strided, labels, path)
+        assert path.read_bytes() == serialize_cube(strided, labels)
+
     def test_ignore_labels_survive(self, tmp_path):
         cube, labels = sample_cube()
         labels.values[0, 0, 0] = labels.ignore_value
@@ -213,6 +225,22 @@ class TestWriteRejectsWhatReadRejects:
         bad = LabelMap(labels.values, labels.num_classes, ignore_value=ignore)
         with pytest.raises(DataError):
             serialize_cube(cube, bad)
+
+    @pytest.mark.parametrize("fault", ["label-shape", "negative-label", "beyond-float32", "class-count"])
+    def test_rejected_write_creates_no_file(self, tmp_path, fault):
+        cube, labels = sample_cube()
+        if fault == "label-shape":
+            labels = LabelMap(np.zeros((1, 9, 9), dtype=int), num_classes=2)
+        elif fault == "negative-label":
+            labels.values[0, 0, 0] = -1
+        elif fault == "beyond-float32":
+            cube.data[0, 0, 0, 0] = 1e39
+        else:
+            labels = LabelMap(labels.values, num_classes=0)
+        path = tmp_path / "rejected.hypc"
+        with pytest.raises(DataError):
+            write_cube(cube, labels, path)
+        assert not path.exists()
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qefilters
 
 from qefilters import (
     ConfigurationError,
@@ -15,7 +22,7 @@ from qefilters import (
     normalize_wavelengths,
 )
 from qefilters.filterbank import CENTROID
-from qefilters.projection import _contract_channels
+from qefilters.projection import _contract_channels, _reduce_pixels
 
 HYKO = WavelengthRange(470.0, 630.0)
 
@@ -73,6 +80,60 @@ class TestContractChannels:
         self.check(rng.random((3, 5)), rng.random((1, 5, 4, 6)))
         self.check(rng.random((1, 5)), rng.random((3, 5, 4, 6)))
         self.check(rng.random((1, 5)), rng.random((1, 5, 1, 1)))
+
+
+class TestReducePixels:
+    @staticmethod
+    def check(a, x):
+        # Non-negative inputs, so no sum cancels and rtol bounds every entry.
+        expected = np.einsum("bfhw,bchw->fc", a, x)
+        np.testing.assert_allclose(_reduce_pixels(a, x), expected, rtol=1e-12, atol=0)
+
+    def test_views_and_fancy_indexed_batches(self):
+        rng = np.random.default_rng(3)
+        data = rng.random((5, 12, 70, 90))
+        self.check(rng.random((3, 2, 70, 90)), data[1:4, ::3])
+        self.check(data[[4, 1], :5], data[[0, 2], 5:])
+        self.check(rng.random((2, 3, 35, 30)), data[:2, :, ::2, 30:60])
+
+    def test_remainder_block_single_image_and_single_pixel(self):
+        rng = np.random.default_rng(4)
+        self.check(rng.random((3, 4, 100, 100)), rng.random((3, 33, 100, 100)))
+        self.check(rng.random((1, 8, 64, 64)), rng.random((1, 128, 64, 64)))
+        self.check(rng.random((1, 3, 1, 1)), rng.random((1, 5, 1, 1)))
+        self.check(rng.random((4, 2, 1, 1)), rng.random((4, 6, 1, 1)))
+
+    # The shapes training reduces (hsidrive: F x C = 3 x 25 and K x F = 5 x 3
+    # at 256 x 256; wide: 8 x 128 and the MLP's 8 x 8 at 64 x 64, batches of
+    # 4) plus 3 images of 100 x 100 at 4 x 33 and 33 x 4, where one GEMM per
+    # image or 16,384-pixel blocks change bytes with the thread count.
+    _THREAD_SCRIPT = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from qefilters.projection import _reduce_pixels\n"
+        "shapes = [(4, 3, 25, 256, 256), (4, 5, 3, 256, 256), (4, 8, 128, 64, 64),\n"
+        "          (4, 8, 8, 64, 64), (3, 4, 33, 100, 100), (3, 33, 4, 100, 100)]\n"
+        "rng = np.random.default_rng(11)\n"
+        "for b, f, c, h, w in shapes:\n"
+        "    a = rng.normal(size=(b, f, h, w))\n"
+        "    x = rng.random((b, c, h, w))\n"
+        "    sys.stdout.write(_reduce_pixels(a, x).tobytes().hex() + '\\n')\n"
+    )
+
+    def test_bytes_independent_of_blas_threads(self):
+        src_dir = Path(qefilters.__file__).resolve().parent.parent
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = str(src_dir)
+            done = subprocess.run(
+                [sys.executable, "-c", self._THREAD_SCRIPT],
+                env=env, capture_output=True, check=True, timeout=300,
+            )
+            outputs.append(done.stdout.decode().split())
+        assert len(outputs[0]) == 6
+        for shape_index, (one, two) in enumerate(zip(*outputs)):
+            assert one == two, shape_index
 
 
 class TestApplyFilterBank:

@@ -36,7 +36,7 @@ from qefilters.regularization import total_reg
 from qefilters.training import AdamW, _argmax_classes, _batch_gradients, _BatchBuffer, make_head
 from qefilters.rng import make_generator
 
-from oracles import dense_soft_dice, dense_weighted_cross_entropy
+from oracles import blocked_pixel_reduction, dense_soft_dice, dense_weighted_cross_entropy
 from tasks import planted3_config, planted3_data, planted3_spec
 
 HYKO = WavelengthRange(470.0, 630.0)
@@ -175,27 +175,29 @@ class TestArgmaxClasses:
 
 
 class TestHeadWeightGradients:
-    # A BLAS product (np.tensordot) sums the pixels in another order and
-    # changes the last bits at this size, so these pin the plain einsum.
-    def test_linear_weight_gradient_is_the_plain_einsum(self):
+    # Plain einsum, one BLAS product over all pixels (np.tensordot) or one
+    # per image sums the pixels in another order and changes the last bits
+    # at this size, so these pin the fixed-block reduction of
+    # tests/oracles.py. 70 x 70 pixels leave a remainder block.
+    def test_linear_weight_gradient_is_the_blocked_reduction(self):
         rng = np.random.default_rng(7)
-        feats = rng.normal(size=(2, 3, 32, 32))
+        feats = rng.normal(size=(2, 3, 70, 70))
         head = make_head("linear", 5, 3, make_generator(1))
         logits, cache = head.forward(feats)
         d_logits = rng.normal(size=logits.shape)
         grads, _ = head.backward(cache, d_logits)
-        assert grads["weight"].tobytes() == np.einsum("bkhw,bfhw->kf", d_logits, feats).tobytes()
+        assert grads["weight"].tobytes() == blocked_pixel_reduction(d_logits, feats).tobytes()
 
-    def test_mlp_weight_gradients_are_the_plain_einsum(self):
+    def test_mlp_weight_gradients_are_the_blocked_reduction(self):
         rng = np.random.default_rng(8)
-        feats = rng.normal(size=(2, 3, 32, 32))
+        feats = rng.normal(size=(2, 3, 70, 70))
         head = make_head("mlp", 5, 3, make_generator(2))
         logits, (_, hidden) = head.forward(feats)
         d_logits = rng.normal(size=logits.shape)
         grads, _ = head.backward((feats, hidden), d_logits)
         d_hidden = _contract_channels(head.w2.T, d_logits) * (1.0 - hidden**2)
-        assert grads["w1"].tobytes() == np.einsum("bjhw,bfhw->jf", d_hidden, feats).tobytes()
-        assert grads["w2"].tobytes() == np.einsum("bkhw,bjhw->kj", d_logits, hidden).tobytes()
+        assert grads["w1"].tobytes() == blocked_pixel_reduction(d_hidden, feats).tobytes()
+        assert grads["w2"].tobytes() == blocked_pixel_reduction(d_logits, hidden).tobytes()
 
 
 class TestAdam:
