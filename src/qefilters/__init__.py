@@ -39,7 +39,7 @@ from .filterbank import (
     normalize_wavelengths,
 )
 from .metrics import IGNORE_LABEL, ConfusionMatrix, MetricsReport, compute_metrics
-from .projection import Hypercube, ReducedCube, apply_filter_bank, backward
+from .projection import Hypercube, apply_filter_bank, backward
 from .regularization import (
     RegConfig,
     RegLosses,
@@ -62,7 +62,6 @@ from .training import (
     MlpHead,
     TrainConfig,
     TrainReport,
-    adam_step,
     inverse_frequency_weights,
     make_head,
     predict,

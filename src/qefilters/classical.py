@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, DimensionMismatchError
 from .metrics import IGNORE_LABEL
-from .projection import Hypercube, ReducedCube
+from .projection import Hypercube
 from .rng import make_generator
 
 _STD_FLOOR = 1e-8  # constant bands standardize to zero instead of blowing up
@@ -239,7 +239,7 @@ def fit_nmf(
     return projection, w
 
 
-def project(cube: Hypercube, stats: BandStats, projection: LinearProjection) -> ReducedCube:
+def project(cube: Hypercube, stats: BandStats, projection: LinearProjection) -> np.ndarray:
     """Standardize, apply the NMF shift if any, then matrix-multiply per pixel."""
     standardized = apply_band_stats(cube, stats)
     data = standardized.data
@@ -249,8 +249,7 @@ def project(cube: Hypercube, stats: BandStats, projection: LinearProjection) -> 
         )
     if projection.shift is not None:
         data = data + projection.shift[None, :, None, None]
-    reduced = np.einsum("fc,bchw->bfhw", projection.components, data)
-    return ReducedCube(reduced)
+    return np.einsum("fc,bchw->bfhw", projection.components, data)
 
 
 @dataclass

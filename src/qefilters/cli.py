@@ -225,7 +225,7 @@ def _cmd_reduce(args) -> int:
         src_cube, src_labels = read_cube(path)
         reduced = project(src_cube, pipeline.stats, pipeline.projection)
         # Reduced channels have no physical wavelengths; store component indices.
-        reduced_cube = Hypercube(reduced.data, np.arange(1.0, num_filters + 1.0))
+        reduced_cube = Hypercube(reduced, np.arange(1.0, num_filters + 1.0))
         dest = out / (Path(path).stem + ".reduced.hypc")
         write_cube(reduced_cube, src_labels, dest)
         print(f"wrote {dest}")

@@ -29,7 +29,9 @@ and ``tests/test_projection.py::TestReducePixels`` compares the bytes of
 
 A :class:`Hypercube` checks its data when it is built, and nothing here
 checks it again. :func:`apply_filter_bank` and :func:`backward` read a
-contiguous cube in place; the large arrays they allocate are their results.
+contiguous cube in place and return plain arrays: the (B, F, H, W) reduced
+cube and the (F, P, 4) parameter gradient. The large arrays they allocate
+are their results.
 ``Hypercube._checked`` lets the file reader skip the check it has already
 made on the stored values.
 """
@@ -90,22 +92,6 @@ class Hypercube:
         return cube
 
 
-@dataclass
-class ReducedCube:
-    """Output of a spectral reduction: shape (B, F, H, W)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 4:
-            raise DataError(f"reduced cube must be 4-D (B, F, H, W), got shape {self.data.shape}")
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return self.data.shape
-
-
 def _contract_channels(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """out[b,f,h,w] = sum_c matrix[f,c] * x[b,c,h,w], as one GEMM per image.
 
@@ -142,7 +128,7 @@ def _reduce_pixels(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> ReducedCube:
+def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> np.ndarray:
     """Contract the spectral axis: Y[b,f,h,w] = sum_c weights[f,c] * X[b,c,h,w]."""
     num_filters, num_channels = response.weights.shape
     if num_channels != cube.dims[1]:
@@ -153,15 +139,14 @@ def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> Reduce
         raise ConfigurationError(
             f"reduction requires fewer filters than channels (F={num_filters}, C={num_channels})"
         )
-    return ReducedCube(_contract_channels(response.weights, cube.data))
+    return _contract_channels(response.weights, cube.data)
 
 
 def backward(
     cube: Hypercube,
     cached: FilterResponseMatrix,
     upstream_grad: np.ndarray,
-    compute_input_grad: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """Backpropagate a loss gradient on the reduced cube to the bank parameters.
 
     ``cached`` must come from :func:`evaluate_filter_bank` on the same
@@ -178,8 +163,7 @@ def backward(
         skew -> raw via 0.5 * tanh'.
 
     Returns the parameter gradients as an (F, P, 4) array in the slot order
-    of ``FilterBankParams.table`` and, when requested, dL/dX of the cube's
-    shape.
+    of ``FilterBankParams.table``.
     """
     upstream = np.asarray(upstream_grad, dtype=float)
     params = cached.params
@@ -226,9 +210,4 @@ def backward(
         d_skew = np.sum(u * x * t, axis=2)
         d_skewness_raw = d_skew * 0.5 * (1.0 - np.square(np.tanh(params.skewness_raw)))
 
-    grads = np.stack([d_centroid, d_log_bandwidth, d_amplitude_logit, d_skewness_raw], axis=2)
-
-    input_grad = None
-    if compute_input_grad:
-        input_grad = _contract_channels(cached.weights.T, upstream)
-    return grads, input_grad
+    return np.stack([d_centroid, d_log_bandwidth, d_amplitude_logit, d_skewness_raw], axis=2)

@@ -49,8 +49,10 @@ class RegConfig:
             raise ConfigurationError(
                 f"need 0 < beta_min < beta_max, got ({self.beta_min}, {self.beta_max})"
             )
-        if self.lambda_reg < 0.0:
-            raise ConfigurationError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
+        if not 0.0 <= self.lambda_reg < np.inf:
+            raise ConfigurationError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ConfigurationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         unknown = set(self.enabled) - set(REG_COMPONENTS)
         if unknown:
             raise ConfigurationError(f"unknown regularizer components: {sorted(unknown)}")

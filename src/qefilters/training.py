@@ -8,8 +8,10 @@ dependency-free.
 
 The objective is class-weighted cross-entropy plus soft Dice, plus the
 weighted regularization total. Optimization is AdamW with decoupled weight
-decay; bank parameters take no decay (their derived quantities are bounded by
-construction), head parameters default to 1e-2.
+decay over ``[bank.table, *head.parameters().values()]``, updated in place;
+the bank table takes no decay (its derived quantities are bounded by
+construction), head arrays default to 1e-2. A step applies the mean gradient
+of ``accumulate_steps`` batches, or of those pending at an epoch's end.
 
 The training loop itself is single-threaded. Head contractions over the
 feature axis are one BLAS GEMM per image (``projection._contract_channels``);
@@ -25,8 +27,10 @@ in a ``Hypercube`` of zeros, and each step copies its images into it without
 checking them again. A step allocates its activations and, in the loss,
 one softmax array per term, which the term turns into its gradient in place
 by gathering and scattering at the label (Dice works image by image in one
-image-sized array); the heads add biases and apply ``tanh`` in place. Each
-epoch evaluates the bank once for both of its mIoU passes.
+image-sized array); the heads add biases and apply ``tanh`` in place. The
+bank and its regularizers are evaluated once at the start and once after
+every optimizer step; the batches up to the next step, the epoch-end mIoU
+passes and the epoch record all reuse that evaluation.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, TrainingDivergedError
+from .errors import ConfigurationError, DataError, DimensionMismatchError, TrainingDivergedError
 from .filterbank import (
     FilterBankParams,
     WavelengthRange,
@@ -289,56 +293,36 @@ def inverse_frequency_weights(
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    step: int,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bias-corrected Adam update with decoupled weight decay.
-
-    Decay is applied multiplicatively to the parameters before the moment
-    update; ``step`` is the 1-based update count. Returns new
-    (params, m, v) without mutating the inputs.
-    """
-    if step < 1:
-        raise ConfigurationError("adam step count is 1-based")
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = params * (1.0 - lr * weight_decay)
-        m = beta1 * m + (1.0 - beta1) * grads
-        v = beta2 * v + (1.0 - beta2) * np.square(grads)
-        m_hat = m / (1.0 - beta1**step)
-        v_hat = v / (1.0 - beta2**step)
-        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return p, m, v
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
-    """Named-parameter AdamW with per-group weight decay."""
+    """Bias-corrected Adam with decoupled weight decay, one decay per array.
 
-    def __init__(self, named_params: dict[str, np.ndarray], lr: float, weight_decay: dict[str, float]):
+    ``step`` updates ``params`` and the moments in place, element by element;
+    decay scales a parameter before its moment update.
+    """
+
+    def __init__(self, params: list[np.ndarray], lr: float, weight_decay: list[float]):
+        self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.m = {k: np.zeros_like(p) for k, p in named_params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in named_params.items()}
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
         self.step_count = 0
 
-    def step(self, named_params: dict[str, np.ndarray], named_grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def step(self, grads: list[np.ndarray]) -> None:
         self.step_count += 1
-        out = {}
-        for name, p in named_params.items():
-            wd = self.weight_decay.get(name, 0.0)
-            out[name], self.m[name], self.v[name] = adam_step(
-                p, named_grads[name], self.m[name], self.v[name], self.step_count,
-                lr=self.lr, weight_decay=wd,
-            )
-        return out
+        m_scale = 1.0 - _BETA1**self.step_count
+        v_scale = 1.0 - _BETA2**self.step_count
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, g, m, v, wd in zip(self.params, grads, self.m, self.v, self.weight_decay):
+                p *= 1.0 - self.lr * wd
+                m *= _BETA1
+                m += (1.0 - _BETA1) * g
+                v *= _BETA2
+                v += (1.0 - _BETA2) * np.square(g)
+                p -= self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +344,13 @@ class TrainConfig:
     head_weight_decay: float = 1e-2
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
+        # Written so that NaN fails each check: every comparison with NaN is false.
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.head_weight_decay < np.inf:
+            raise ConfigurationError(f"head_weight_decay must be finite and >= 0, got {self.head_weight_decay}")
+        if self.head_hidden < 1:
+            raise ConfigurationError(f"head_hidden must be >= 1, got {self.head_hidden}")
         if self.max_epochs < 1:
             raise ConfigurationError("max_epochs must be >= 1")
         if not 1 <= self.patience <= self.max_epochs:
@@ -466,7 +455,7 @@ def _argmax_classes(logits: np.ndarray) -> np.ndarray:
 def _predict(response, head, cube: Hypercube) -> np.ndarray:
     # Nothing keeps the features or the head's cache, so they are freed
     # before the argmax allocates.
-    logits = head.forward(apply_filter_bank(cube, response).data)[0]
+    logits = head.forward(apply_filter_bank(cube, response))[0]
     return _argmax_classes(logits)
 
 
@@ -499,31 +488,38 @@ class _BatchBuffer:
         data, values = self._source
         # mode="clip" lets np.take write straight into ``out``, where the
         # default mode="raise" goes through a temporary copy; ``idx`` indexes
-        # the cube's own images. The labels keep the bounds check, since
-        # nothing checks that they hold as many images as the cube.
+        # the split's own images, and ``train`` checks that the labels hold
+        # as many images as the cube.
         np.take(data, idx, axis=0, out=cube.data, mode="clip")
-        np.take(values, idx, axis=0, out=labels)
+        np.take(values, idx, axis=0, out=labels, mode="clip")
         return cube, labels
 
 
-def _batch_gradients(bank, head, lam_norm, cube, labels, weights, ignore, reg, epoch):
-    """Segmentation loss and named gradients of one batch, ``cube`` and ``labels``.
+def _bank_state(bank, lam_norm, reg):
+    """The bank's response, its ``RegLosses`` and ``lambda_reg`` times their gradient.
 
-    The activations are locals here, so they are freed on return, before
-    the caller loads the next batch.
+    The response refers to ``bank`` itself, which the optimizer updates in
+    place, so the state holds only until the next step.
     """
     response = evaluate_filter_bank(bank, lam_norm)
-    feats = apply_filter_bank(cube, response).data
+    reg_losses, reg_grad = total_reg(bank, reg)
+    return response, reg_losses, reg.lambda_reg * reg_grad
+
+
+def _batch_gradients(head, response, reg_grad, cube, labels, weights, ignore, epoch):
+    """Segmentation loss of one batch and its gradients in parameter order.
+
+    The gradients are those of ``[bank.table, *head.parameters().values()]``;
+    the bank's includes ``reg_grad``. The activations are locals here, so
+    they are freed on return, before the caller loads the next batch.
+    """
+    feats = apply_filter_bank(cube, response)
     logits, cache = head.forward(feats)
     seg, d_logits = seg_loss(logits, labels, weights, ignore)
     if not np.isfinite(seg):
         raise TrainingDivergedError(epoch)
     head_grads, d_feats = head.backward(cache, d_logits)
-    bank_grads, _ = backward(cube, response, d_feats)
-    _, reg_grads = total_reg(bank, reg)
-    grads = {"bank": bank_grads + reg.lambda_reg * reg_grads}
-    grads.update({f"head.{k}": g for k, g in head_grads.items()})
-    return seg, grads
+    return seg, [backward(cube, response, d_feats) + reg_grad, *head_grads.values()]
 
 
 def train(
@@ -546,6 +542,10 @@ def train(
     val_cube, val_labels = val_data
     train_labels = np.asarray(train_labels)
     val_labels = np.asarray(val_labels)
+    for split, cube, labels in (("train", train_cube, train_labels), ("val", val_cube, val_labels)):
+        expected = (cube.dims[0],) + cube.dims[2:]
+        if labels.shape != expected:
+            raise DimensionMismatchError(f"{split} labels have shape {labels.shape}, not (B, H, W) {expected}")
     if train_cube.dims[0] < 1 or val_cube.dims[0] < 1:
         raise ConfigurationError("need at least one training and one validation image")
     if not np.any(train_labels != ignore) or not np.any(val_labels != ignore):
@@ -579,11 +579,9 @@ def train(
                 f"class_weights must have {num_classes} entries, got shape {weights.shape}"
             )
 
-    named = {"bank": bank.table}
-    named.update({f"head.{k}": p for k, p in head.parameters().items()})
-    decay = {"bank": 0.0}
-    decay.update({f"head.{k}": config.head_weight_decay for k in head.parameters()})
-    optimizer = AdamW(named, lr=config.learning_rate, weight_decay=decay)
+    params = [bank.table, *head.parameters().values()]
+    decay = [0.0] + [config.head_weight_decay] * (len(params) - 1)
+    optimizer = AdamW(params, config.learning_rate, decay)
 
     num_images = train_cube.dims[0]
     batch = min(config.batch_size, num_images)
@@ -598,40 +596,30 @@ def train(
     since_improvement = 0
     stopped_early = False
     out_of_range_epochs = 0
+    response, reg_losses, reg_grad = _bank_state(bank, lam_norm, config.reg)
 
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(num_images)
-        starts = range(0, num_images, batch)
         epoch_seg = []
-        pending_grads: dict[str, np.ndarray] | None = None
-        pending = 0
-        for start in starts:
+        pending, count = None, 0
+        for start in range(0, num_images, batch):
             batch_cube, batch_labels = batches.load(order[start : start + batch])
             seg, grads = _batch_gradients(
-                bank, head, lam_norm, batch_cube, batch_labels, weights, ignore, config.reg, epoch
+                head, response, reg_grad, batch_cube, batch_labels, weights, ignore, epoch
             )
             epoch_seg.append(seg)
-            if pending_grads is None:
-                pending_grads = grads
-            else:
-                pending_grads = {k: pending_grads[k] + grads[k] for k in grads}
-            pending += 1
-            if pending < config.accumulate_steps:
+            pending = grads if pending is None else [p + g for p, g in zip(pending, grads)]
+            count += 1
+            # The epoch's last batch closes a step with whatever is pending.
+            if count < config.accumulate_steps and start + batch < num_images:
                 continue
 
-            mean_grads = {k: g / pending for k, g in pending_grads.items()}
-            named = {"bank": bank.table}
-            named.update({f"head.{k}": p for k, p in head.parameters().items()})
-            updated = optimizer.step(named, mean_grads)
-            if any(not np.all(np.isfinite(p)) for p in updated.values()):
+            optimizer.step([g / count for g in pending])
+            if any(not np.all(np.isfinite(p)) for p in params):
                 raise TrainingDivergedError(epoch)
-            bank = FilterBankParams(updated["bank"], wl_range)
-            head.set_parameters({k.removeprefix("head."): v for k, v in updated.items() if k != "bank"})
-            pending_grads = None
-            pending = 0
+            response, reg_losses, reg_grad = _bank_state(bank, lam_norm, config.reg)
+            pending, count = None, 0
 
-        reg_losses, _ = total_reg(bank, config.reg)
-        response = evaluate_filter_bank(bank, lam_norm)
         train_miou = _miou(response, head, train_cube, train_labels, num_classes, ignore)
         val_miou = _miou(response, head, val_cube, val_labels, num_classes, ignore)
         records.append(

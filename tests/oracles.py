@@ -5,7 +5,9 @@ one-hot forms of the two loss terms check the in-place ones in
 ``qefilters.training``: they compute the same formulas with a boolean
 (B, K, H, W) one-hot and fresh arrays at every step, so the two must agree
 byte for byte. The blocked pixel reduction checks the head weight
-gradients, which ``qefilters.training`` sums in the same fixed blocks.
+gradients, which ``qefilters.training`` sums in the same fixed blocks. The
+functional Adam step checks the in-place ``AdamW``, which must reproduce it
+byte for byte.
 """
 
 from dataclasses import dataclass
@@ -134,3 +136,33 @@ def blocked_pixel_reduction(a, x):
         for start in range(0, pixels, PIXEL_BLOCK):
             out += a_img[:, start : start + PIXEL_BLOCK] @ x_img[:, start : start + PIXEL_BLOCK].T
     return out
+
+
+def adam_step(
+    params: np.ndarray,
+    grads: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    step: int,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+    weight_decay: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One bias-corrected Adam update with decoupled weight decay.
+
+    Decay is applied multiplicatively to the parameters before the moment
+    update; ``step`` is the 1-based update count. Returns new
+    (params, m, v) without mutating the inputs.
+    """
+    if step < 1:
+        raise ConfigurationError("adam step count is 1-based")
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = params * (1.0 - lr * weight_decay)
+        m = beta1 * m + (1.0 - beta1) * grads
+        v = beta2 * v + (1.0 - beta2) * np.square(grads)
+        m_hat = m / (1.0 - beta1**step)
+        v_hat = v / (1.0 - beta2**step)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return p, m, v

@@ -86,18 +86,18 @@ def test_criterion_01_gradient_oracle_suite():
         def objective(table):
             bank2 = FilterBankParams(table, HYKO)
             resp = q.evaluate_filter_bank(bank2, lam)
-            feats = apply_filter_bank(cube, resp).data
+            feats = apply_filter_bank(cube, resp)
             logits, _ = head.forward(feats)
             seg, _ = seg_loss(logits, labels, weights)
             reg, _ = total_reg(bank2, reg_cfg)
             return seg + reg_cfg.lambda_reg * reg.total
 
         resp = q.evaluate_filter_bank(bank, lam)
-        feats = apply_filter_bank(cube, resp).data
+        feats = apply_filter_bank(cube, resp)
         logits, cache = head.forward(feats)
         _, d_logits = seg_loss(logits, labels, weights)
         _, d_feats = head.backward(cache, d_logits)
-        bank_grads, _ = backward(cube, resp, d_feats)
+        bank_grads = backward(cube, resp, d_feats)
         _, reg_grads = total_reg(bank, reg_cfg)
         analytic = bank_grads + reg_cfg.lambda_reg * reg_grads
 
@@ -232,13 +232,13 @@ def _train_head_only(train_feats, train_labels, val_feats, val_labels, num_class
                      steps=400, lr=5e-2):
     head = make_head("linear", num_classes, train_feats.shape[1], make_generator(seed, 1))
     weights = q.inverse_frequency_weights(train_labels, num_classes)
-    named = dict(head.parameters())
-    optimizer = AdamW(named, lr=lr, weight_decay={k: 0.0 for k in named})
+    params = list(head.parameters().values())
+    optimizer = AdamW(params, lr=lr, weight_decay=[0.0] * len(params))
     for _ in range(steps):
         logits, cache = head.forward(train_feats)
         _, d_logits = seg_loss(logits, train_labels, weights)
         grads, _ = head.backward(cache, d_logits)
-        head.set_parameters(optimizer.step(head.parameters(), grads))
+        optimizer.step(list(grads.values()))
     logits, _ = head.forward(val_feats)
     pred = np.argmax(logits, axis=1)
     cm = q.ConfusionMatrix(num_classes).accumulate(pred, val_labels)
@@ -252,8 +252,8 @@ def _learned_vs_pca(spec_fn, config, num_classes, seed=0):
     pipeline = q.fit_reduction_pipeline(
         [(tr_cube, tr_lab.values)], "pca", 2, target_total=20_000, seed=seed
     )
-    tr_red = q.project(tr_cube, pipeline.stats, pipeline.projection).data
-    va_red = q.project(va_cube, pipeline.stats, pipeline.projection).data
+    tr_red = q.project(tr_cube, pipeline.stats, pipeline.projection)
+    va_red = q.project(va_cube, pipeline.stats, pipeline.projection)
     pca_miou = _train_head_only(tr_red, tr_lab.values, va_red, va_lab.values, num_classes, seed=seed)
     return report.best_val_miou, pca_miou
 

@@ -241,7 +241,7 @@ class TestProject:
         proj = LinearProjection(kind="pca", components=np.eye(3))
         # identity needs F == C; bypass the filter-bank reduction rule on purpose
         out = project(cube, stats, proj)
-        np.testing.assert_allclose(out.data, cube.data, rtol=1e-14)
+        np.testing.assert_allclose(out, cube.data, rtol=1e-14)
 
     def test_one_hot_components_select_bands(self):
         cube, _ = labeled_cube(18, 1, 3, 3, channels=4)
@@ -250,8 +250,8 @@ class TestProject:
         comps[0, 1] = 1.0
         comps[1, 3] = 1.0
         out = project(cube, stats, LinearProjection(kind="pca", components=comps))
-        np.testing.assert_allclose(out.data[:, 0], (cube.data[:, 1] - 0.5) / 2.0, rtol=1e-14)
-        np.testing.assert_allclose(out.data[:, 1], (cube.data[:, 3] - 0.5) / 2.0, rtol=1e-14)
+        np.testing.assert_allclose(out[:, 0], (cube.data[:, 1] - 0.5) / 2.0, rtol=1e-14)
+        np.testing.assert_allclose(out[:, 1], (cube.data[:, 3] - 0.5) / 2.0, rtol=1e-14)
 
     def test_matches_scalar_oracle_with_shift(self):
         cube, _ = labeled_cube(19, 1, 2, 2, channels=3)
@@ -259,7 +259,7 @@ class TestProject:
         shift = np.array([0.4, 0.0, 1.0])
         comps = np.array([[0.5, 1.0, -1.0], [0.0, 2.0, 0.3]])
         proj = LinearProjection(kind="nmf", components=comps, shift=shift)
-        out = project(cube, stats, proj).data
+        out = project(cube, stats, proj)
         for b, h, w in np.ndindex(1, 2, 2):
             z = (cube.data[b, :, h, w] - stats.mean) / stats.std + shift
             for f in range(2):
@@ -276,7 +276,7 @@ class TestPipeline:
             np.testing.assert_array_equal(restored.projection.components, pipeline.projection.components)
             out_a = project(cube, pipeline.stats, pipeline.projection)
             out_b = project(cube, restored.stats, restored.projection)
-            np.testing.assert_array_equal(out_a.data, out_b.data)
+            np.testing.assert_array_equal(out_a, out_b)
 
     def test_nmf_shift_makes_input_nonnegative(self):
         cube, labels = labeled_cube(21, 2, 8, 8, channels=4)

@@ -302,6 +302,24 @@ class TestExitCodes:
         ],
     )
     def test_train_config_value_of_wrong_type(self, tmp_path, capsys, setting, key):
+        assert self._train_with(tmp_path, capsys, setting) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            pytest.param({"learning_rate": float("nan")}, "learning_rate", id="learning_rate-nan"),
+            pytest.param({"head": "mlp", "head_hidden": 0}, "head_hidden", id="head_hidden-0"),
+        ],
+    )
+    def test_train_config_value_out_of_range(self, tmp_path, capsys, setting, key):
+        # json reads NaN; the config must reject it before training diverges.
+        assert self._train_with(tmp_path, capsys, setting) == 2
+        assert key in capsys.readouterr().err
+
+    @staticmethod
+    def _train_with(tmp_path, capsys, setting) -> int:
+        """Exit code of ``train`` on a small valid config updated by ``setting``."""
         config = synth_config(tmp_path)
         data_dir = tmp_path / "data"
         cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
@@ -316,8 +334,7 @@ class TestExitCodes:
         path = tmp_path / "train.json"
         path.write_text(json.dumps(dict(doc, **setting)))
         capsys.readouterr()
-        assert cli(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
-        assert key in capsys.readouterr().err
+        return cli(["train", "--config", str(path), "--out", str(tmp_path / "run")])
 
     def test_reduce_config_value_of_wrong_type(self, tmp_path, capsys):
         config = synth_config(tmp_path)

@@ -13,11 +13,11 @@ from qefilters import (
     ConfigurationError,
     ConfusionMatrix,
     DataError,
+    DimensionMismatchError,
     Hypercube,
     RegConfig,
     TrainConfig,
     TrainingDivergedError,
-    adam_step,
     compute_metrics,
     evaluate_filter_bank,
     init_filter_bank,
@@ -33,10 +33,10 @@ from qefilters.filterbank import FilterBankParams, WavelengthRange
 from qefilters.metrics import IGNORE_LABEL
 from qefilters.projection import _contract_channels, apply_filter_bank
 from qefilters.regularization import total_reg
-from qefilters.training import AdamW, _argmax_classes, _batch_gradients, _BatchBuffer, make_head
+from qefilters.training import AdamW, _argmax_classes, _bank_state, _batch_gradients, _BatchBuffer, make_head
 from qefilters.rng import make_generator
 
-from oracles import blocked_pixel_reduction, dense_soft_dice, dense_weighted_cross_entropy
+from oracles import adam_step, blocked_pixel_reduction, dense_soft_dice, dense_weighted_cross_entropy
 from tasks import planted3_config, planted3_data, planted3_spec
 
 HYKO = WavelengthRange(470.0, 630.0)
@@ -203,22 +203,20 @@ class TestHeadWeightGradients:
 class TestAdam:
     def test_zero_gradient_no_motion(self):
         p = np.array([1.0, -2.0])
-        new_p, m, v = adam_step(p, np.zeros(2), np.zeros(2), np.zeros(2), 1, lr=0.1)
-        np.testing.assert_array_equal(new_p, p)
+        AdamW([p], lr=0.1, weight_decay=[0.0]).step([np.zeros(2)])
+        np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_constant_gradient_approaches_lr_steps(self):
         p = np.array([0.0])
-        m = np.zeros(1)
-        v = np.zeros(1)
+        optimizer = AdamW([p], lr=1e-3, weight_decay=[0.0])
         g = np.array([3.7])
-        last = p.copy()
-        for t in range(1, 200):
-            p, m, v = adam_step(p, g, m, v, t, lr=1e-3)
-        assert (last - p)[0] > 0  # moving against the gradient
-        step_size = last[0] - p[0]
+        for _ in range(199):
+            optimizer.step([g])
+        assert p[0] < 0.0  # moving against the gradient
         # after warmup each step is ~lr * sign(g)
-        p2, _, _ = adam_step(p, g, m, v, 200, lr=1e-3)
-        assert abs((p - p2)[0] - 1e-3) < 1e-5
+        before = p[0]
+        optimizer.step([g])
+        assert abs((before - p[0]) - 1e-3) < 1e-5
 
     def test_three_step_trace_matches_hand_oracle(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
@@ -234,16 +232,33 @@ class TestAdam:
             theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
             expected.append(theta)
         p = np.array([1.0])
-        ms = np.zeros(1)
-        vs = np.zeros(1)
+        optimizer = AdamW([p], lr=lr, weight_decay=[0.0])
         for t, g in enumerate(grads, start=1):
-            p, ms, vs = adam_step(p, np.array([g]), ms, vs, t, lr=lr)
+            optimizer.step([np.array([g])])
             assert p[0] == pytest.approx(expected[t - 1], rel=1e-14)
 
     def test_decoupled_weight_decay(self):
         p = np.array([2.0])
-        new_p, _, _ = adam_step(p, np.zeros(1), np.zeros(1), np.zeros(1), 1, lr=0.1, weight_decay=0.5)
-        assert new_p[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
+        AdamW([p], lr=0.1, weight_decay=[0.5]).step([np.zeros(1)])
+        assert p[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
+
+    def test_matches_functional_oracle_byte_for_byte(self):
+        rng = np.random.default_rng(21)
+        shapes, decays, lr = [(3, 2, 4), (5, 3)], [0.0, 1e-2], 3e-2
+        params = [rng.normal(size=shape) for shape in shapes]
+        want = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
+        optimizer = AdamW(params, lr=lr, weight_decay=decays)
+        for step in range(1, 6):
+            grads = [rng.normal(scale=10.0**-step, size=shape) for shape in shapes]
+            optimizer.step(grads)
+            want = [
+                adam_step(p, g, m, v, step, lr=lr, weight_decay=wd)
+                for (p, m, v), g, wd in zip(want, grads, decays)
+            ]
+        for i, (p, m, v) in enumerate(want):
+            assert params[i].tobytes() == p.tobytes(), i
+            assert optimizer.m[i].tobytes() == m.tobytes(), i
+            assert optimizer.v[i].tobytes() == v.tobytes(), i
 
 
 class TestClassWeights:
@@ -285,7 +300,7 @@ class TestEndToEndGradient:
         def objective(table):
             b = FilterBankParams(table, HYKO)
             resp = evaluate_filter_bank(b, lam)
-            feats = apply_filter_bank(cube, resp).data
+            feats = apply_filter_bank(cube, resp)
             logits, _ = head.forward(feats)
             seg, _ = seg_loss(logits, labels, weights)
             reg, _ = total_reg(b, reg_cfg)
@@ -293,8 +308,9 @@ class TestEndToEndGradient:
 
         assert total_reg(bank, reg_cfg)[0].separation > 0.0
         # the bank gradient the training loop applies
-        _, grads = _batch_gradients(bank, head, lam, cube, labels, weights, IGNORE_LABEL, reg_cfg, 1)
-        full_grad = grads["bank"]
+        response, _, reg_grad = _bank_state(bank, lam, reg_cfg)
+        _, grads = _batch_gradients(head, response, reg_grad, cube, labels, weights, IGNORE_LABEL, 1)
+        full_grad = grads[0]
 
         step = 1e-5
         # Single-peak amplitude partials are epsilon-scale (~1e-10); below the
@@ -320,13 +336,12 @@ class TestEndToEndGradient:
         weights = np.ones(2)
         cfg = RegConfig()
 
-        named = {"bank": bank.table}
-        named.update({f"head.{k}": p for k, p in head.parameters().items()})
-        opt = AdamW(named, lr=1e-4, weight_decay={k: 0.0 for k in named})
+        params = [bank.table, *head.parameters().values()]
+        optimizer = AdamW(params, lr=1e-4, weight_decay=[0.0] * len(params))
 
         def current_loss(b):
             resp = evaluate_filter_bank(b, lam)
-            feats = apply_filter_bank(cube, resp).data
+            feats = apply_filter_bank(cube, resp)
             logits, _ = head.forward(feats)
             seg, _ = seg_loss(logits, labels, weights)
             reg, _ = total_reg(b, cfg)
@@ -334,12 +349,9 @@ class TestEndToEndGradient:
 
         initial = current_loss(bank)
         for _ in range(50):
-            _, grads = _batch_gradients(bank, head, lam, cube, labels, weights, IGNORE_LABEL, cfg, 1)
-            named = {"bank": bank.table}
-            named.update({f"head.{k}": p for k, p in head.parameters().items()})
-            updated = opt.step(named, grads)
-            bank = FilterBankParams(updated["bank"], HYKO)
-            head.set_parameters({k.removeprefix("head."): v for k, v in updated.items() if k != "bank"})
+            response, _, reg_grad = _bank_state(bank, lam, cfg)
+            _, grads = _batch_gradients(head, response, reg_grad, cube, labels, weights, IGNORE_LABEL, 1)
+            optimizer.step(grads)
         assert current_loss(bank) < initial
 
 
@@ -353,17 +365,18 @@ class TestBatchBuffer:
         head = make_head("mlp", 2, 2, make_generator(7))
         weights = np.array([0.7, 1.3])
         reg = RegConfig()
+        response, _, reg_grad = _bank_state(bank, lam, reg)
         batches = _BatchBuffer(cube, labels, 2)
         for idx in (np.array([4, 1]), np.array([0, 3]), np.array([2])):
             batch_cube, batch_labels = batches.load(idx)
             assert batch_cube.dims == (len(idx),) + cube.dims[1:]
-            got = _batch_gradients(bank, head, lam, batch_cube, batch_labels, weights, IGNORE_LABEL, reg, 1)
+            got = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, IGNORE_LABEL, 1)
             fresh = Hypercube(cube.data[idx], cube.wavelengths_nm)
-            want = _batch_gradients(bank, head, lam, fresh, labels[idx], weights, IGNORE_LABEL, reg, 1)
+            want = _batch_gradients(head, response, reg_grad, fresh, labels[idx], weights, IGNORE_LABEL, 1)
             assert got[0] == want[0]
-            assert got[1].keys() == want[1].keys()
-            for name, grad in want[1].items():
-                assert got[1][name].tobytes() == grad.tobytes(), name
+            assert len(got[1]) == len(want[1]) == 5
+            for i, grad in enumerate(want[1]):
+                assert got[1][i].tobytes() == grad.tobytes(), i
 
 
 class TestMlpHead:
@@ -548,6 +561,32 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError):
             TrainConfig(patience=500, max_epochs=300)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            pytest.param(lambda: TrainConfig(learning_rate=float("nan")), "learning_rate", id="lr-nan"),
+            pytest.param(lambda: TrainConfig(learning_rate=float("inf")), "learning_rate", id="lr-inf"),
+            pytest.param(lambda: TrainConfig(head_weight_decay=float("nan")), "head_weight_decay", id="wd-nan"),
+            pytest.param(lambda: TrainConfig(head_weight_decay=-1e-2), "head_weight_decay", id="wd-negative"),
+            pytest.param(lambda: TrainConfig(head_hidden=0), "head_hidden", id="hidden-0"),
+            pytest.param(lambda: RegConfig(lambda_reg=float("nan")), "lambda_reg", id="lambda-nan"),
+            pytest.param(lambda: RegConfig(lambda_reg=float("inf")), "lambda_reg", id="lambda-inf"),
+            pytest.param(lambda: RegConfig(epsilon=float("nan")), "epsilon", id="epsilon-nan"),
+        ],
+    )
+    def test_config_rejects_non_finite_and_out_of_range(self, make, field):
+        with pytest.raises(ConfigurationError, match=field):
+            make()
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_label_shape_checked_before_training(self, split):
+        cube, labels = tiny_dataset(seed=14)
+        data = {"train": (cube, labels), "val": (cube, labels)}
+        data[split] = (cube, labels[:-1])
+        config = TrainConfig(learning_rate=1e-3, max_epochs=2, patience=2, batch_size=4, seed=0)
+        with pytest.raises(DimensionMismatchError, match=split):
+            train(data["train"], data["val"], 2, 1, config)
+
     def test_report_csv_headers(self):
         cube, labels = tiny_dataset(seed=10)
         config = TrainConfig(learning_rate=1e-3, max_epochs=2, patience=2, batch_size=4, seed=0)
@@ -565,6 +604,37 @@ class TestTrainLoop:
         report = train((cube, labels), (cube, labels), 2, 1, config)
         assert len(report.records) == 4
         assert np.all(np.isfinite(report.params.table))
+
+    def test_accumulation_applies_the_pending_gradients_at_epoch_end(self):
+        # 8 images in batches of 4 never reach 3 pending batches within an
+        # epoch, so every step is closed by an epoch's last batch.
+        cube, labels = tiny_dataset(seed=11, images=8)
+        config = TrainConfig(
+            learning_rate=1e-2, max_epochs=4, patience=4, batch_size=4, seed=0,
+            accumulate_steps=3,
+        )
+        report = train((cube, labels), (cube, labels), 2, 1, config)
+        initial = init_filter_bank(2, 1, HYKO, config.seed)
+        assert not np.array_equal(report.params.table, initial.table)
+
+    def test_accumulation_steps_per_epoch(self, monkeypatch):
+        # 5 images in batches of 2 give batches of 2, 2 and 1 images: with
+        # 2 batches a step, the last batch closes a step of its own.
+        steps = []
+        step = AdamW.step
+
+        def counted_step(self, grads):
+            steps.append(len(grads))
+            step(self, grads)
+
+        monkeypatch.setattr(AdamW, "step", counted_step)
+        cube, labels = tiny_dataset(seed=11, images=5)
+        config = TrainConfig(
+            learning_rate=1e-2, max_epochs=4, patience=4, batch_size=2, seed=0,
+            accumulate_steps=2,
+        )
+        train((cube, labels), (cube, labels), 2, 1, config)
+        assert len(steps) == 8
 
     def test_explicit_class_weights(self):
         cube, labels = tiny_dataset(seed=12)
