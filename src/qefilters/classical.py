@@ -77,12 +77,11 @@ def stratified_sample(
     cubes: Sequence[tuple[Hypercube, np.ndarray]],
     target_total: int,
     seed: int,
-    num_classes: int | None = None,
-    ignore: int = IGNORE_LABEL,
 ) -> PixelSample:
     """Collect a class-balanced pixel sample across a labeled cube set.
 
-    The per-class target is floor(target_total / K). Rare classes contribute
+    K is one more than the largest label other than ``IGNORE_LABEL``, and
+    the per-class target is floor(target_total / K). Rare classes contribute
     every pixel they have; common classes are randomly subsampled, with each
     image's draw proportional to its share of that class. Deterministic under
     the seed: classes and images are visited in ascending order against a
@@ -91,11 +90,10 @@ def stratified_sample(
     if not cubes:
         raise DataError("no cubes to sample from")
     all_labels = [np.asarray(labels) for _, labels in cubes]
-    labeled = [lab[lab != ignore] for lab in all_labels]
+    labeled = [lab[lab != IGNORE_LABEL] for lab in all_labels]
     if not any(lab.size for lab in labeled):
         raise DataError("no labeled pixels in any cube")
-    if num_classes is None:
-        num_classes = int(max(lab.max() for lab in labeled if lab.size)) + 1
+    num_classes = int(max(lab.max() for lab in labeled if lab.size)) + 1
     if target_total < num_classes:
         raise ConfigurationError(
             f"target_total={target_total} is below the class count {num_classes}"
@@ -105,11 +103,7 @@ def stratified_sample(
 
     rows, row_labels = [], []
     per_class = np.zeros(num_classes, dtype=np.int64)
-    counts = np.zeros((len(cubes), num_classes), dtype=np.int64)
-    for i, lab in enumerate(all_labels):
-        vals = lab[lab != ignore].astype(np.int64)
-        if vals.size:
-            counts[i] += np.bincount(vals, minlength=num_classes)
+    counts = np.array([np.bincount(lab.astype(np.int64), minlength=num_classes) for lab in labeled])
 
     for k in range(num_classes):
         available = counts[:, k]
@@ -169,6 +163,8 @@ def fit_pca(matrix: np.ndarray, num_components: int) -> LinearProjection:
     """
     matrix = np.asarray(matrix, dtype=float)
     n, c = matrix.shape
+    if num_components < 1:
+        raise ConfigurationError(f"num_components must be >= 1, got {num_components}")
     if num_components > min(n - 1, c):
         raise ConfigurationError(
             f"num_components={num_components} exceeds min(N-1, C)={min(n - 1, c)}"
@@ -206,6 +202,8 @@ def fit_nmf(
     if np.any(v < 0):
         raise DataError("NMF input must be elementwise nonnegative")
     n, c = v.shape
+    if num_components < 1:
+        raise ConfigurationError(f"num_components must be >= 1, got {num_components}")
     if num_components > c:
         raise ConfigurationError(f"num_components={num_components} exceeds band count {c}")
     gen = make_generator(seed)
@@ -317,22 +315,19 @@ def fit_reduction_pipeline(
     num_components: int,
     target_total: int = 50_000,
     seed: int = 0,
-    nmf_max_iter: int = 500,
-    nmf_tol: float = 1e-8,
-    ignore: int = IGNORE_LABEL,
 ) -> ReductionPipeline:
-    """Run all three phases and return the reusable pipeline."""
-    sample = stratified_sample(cubes, target_total, seed, ignore=ignore)
+    """Run all three phases and return the reusable pipeline.
+
+    NMF runs with ``fit_nmf``'s own iteration limit and tolerance.
+    """
+    sample = stratified_sample(cubes, target_total, seed)
     stats = fit_band_stats(sample)
     standardized = standardize_sample(sample, stats)
     if method == "pca":
         projection = fit_pca(standardized, num_components)
     elif method == "nmf":
         shift = np.maximum(-standardized.min(axis=0), 0.0)
-        projection, _ = fit_nmf(
-            standardized + shift[None, :], num_components,
-            max_iter=nmf_max_iter, tol=nmf_tol, seed=seed,
-        )
+        projection, _ = fit_nmf(standardized + shift[None, :], num_components, seed=seed)
         projection.shift = shift
     else:
         raise ConfigurationError(f"unknown reduction method {method!r} (expected 'pca' or 'nmf')")

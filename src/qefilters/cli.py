@@ -32,10 +32,10 @@ from .filterbank import (
     evaluate_filter_bank,
     normalize_wavelengths,
 )
-from .metrics import ConfusionMatrix, compute_metrics
+from .metrics import IGNORE_LABEL, ConfusionMatrix, compute_metrics
 from .projection import Hypercube
 from .regularization import RegConfig
-from .synthetic import gen_synthetic, spec_from_dict
+from .synthetic import SynthSpec, gen_synthetic, spec_from_dict
 from .training import TrainConfig, train
 
 
@@ -56,27 +56,24 @@ def export_filters(
 ) -> None:
     """Write normalized response curves as CSV.
 
-    Columns are ``wavelength_nm,filter_1..filter_F``. With ``grid``, curves
-    are evaluated on a dense grid of that many points across the bank's
-    range, but normalization still divides by each filter's maximum over the
-    dataset channels, which a leading comment row states.
+    Columns are ``wavelength_nm,filter_1..filter_F``. Curves are evaluated on
+    the dataset channels or, with ``grid``, on a dense grid of that many
+    points across the bank's range. Either way each filter is divided by its
+    maximum over the dataset channels (plus ``EPSILON``), which a leading
+    comment row states for the grid.
     """
     channels = np.asarray(channel_wavelengths_nm, dtype=float)
-    lam_channels = normalize_wavelengths(channels, params.range)
-    reference = evaluate_filter_bank(params, lam_channels)
+    reference = evaluate_filter_bank(params, normalize_wavelengths(channels, params.range))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if grid is None:
-        wavelengths = channels
-        weights = reference.weights
-    else:
+    wavelengths = channels
+    if grid is not None:
         if grid < 2:
             raise ConfigurationError(f"grid must have at least 2 points, got {grid}")
         buf.write("# normalization uses the dataset-channel response maxima\n")
         wavelengths = np.linspace(params.range.start_nm, params.range.end_nm, grid)
-        dense = evaluate_filter_bank(params, normalize_wavelengths(wavelengths, params.range))
-        raw = dense.per_peak_responses.sum(axis=1)
-        weights = raw / (reference.row_max + EPSILON)[:, None]
+    curves = evaluate_filter_bank(params, normalize_wavelengths(wavelengths, params.range))
+    weights = curves.per_peak_responses.sum(axis=1) / (reference.row_max + EPSILON)[:, None]
     writer.writerow(["wavelength_nm"] + [f"filter_{f + 1}" for f in range(params.num_filters)])
     for i, wl in enumerate(wavelengths):
         writer.writerow([repr(float(wl))] + [repr(float(weights[f, i])) for f in range(len(weights))])
@@ -98,20 +95,54 @@ def _out_dir(out) -> Path:
     return path
 
 
-def _cmd_gen_synth(args) -> int:
-    doc = _load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    counts = config_values(doc, {"images": int, "train_images": int, "val_images": int}, "gen-synth config")
+def _check_keys(doc, known, where: str) -> None:
+    """Reject a ``doc`` that is not an object or has a key outside ``known``, such as a misspelt one."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigurationError(f"{where} has unknown keys {', '.join(map(repr, unknown))}")
+
+
+def _read_config(doc, required: dict, optional: dict, where: str) -> tuple[list, dict]:
+    """The ``required`` values in order and the ``optional`` ones ``doc`` sets, each converted by its kind."""
+    _check_keys(doc, [*required, *optional], where)
+    values = [config_value(doc, key, kind, where) for key, kind in required.items()]
+    return values, config_values(doc, optional, where)
+
+
+def _strings(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("expected a list of strings")
+    return tuple(value)
+
+
+# The keys ``spec_from_dict`` reads, less "images" and "subset", which
+# gen-synth sets per file from the counts below.
+_SYNTH_SPEC_KEYS = ("classes", "wavelengths", "planted_centers_nm", "noise_sigma", "height", "width",
+                    "blobs_per_image", "seed")
+_SYNTH_COUNTS = {"images": int, "train_images": int, "val_images": int}
+
+
+def _synth_specs(doc, seed_override=None) -> dict[str, SynthSpec]:
+    """The specs of the ``train`` and ``val`` files a gen-synth config document describes."""
+    _check_keys(doc, [*_SYNTH_SPEC_KEYS, *_SYNTH_COUNTS], "gen-synth config")
+    if seed_override is not None:
+        doc = dict(doc, seed=seed_override)
+    counts = config_values(doc, _SYNTH_COUNTS, "gen-synth config")
     images = {"train": counts.get("train_images", counts.get("images", 4))}
     images["val"] = counts.get("val_images", max(1, images["train"] // 4))
+    return {
+        name: spec_from_dict(dict(doc, images=count, subset=subset))
+        for subset, (name, count) in enumerate(images.items())
+    }
+
+
+def _cmd_gen_synth(args) -> int:
+    specs = _synth_specs(_load_json(args.config), args.seed)
     out = _out_dir(args.out)
-    for subset_index, (name, count) in enumerate(images.items()):
-        sub_doc = dict(doc)
-        sub_doc["images"] = count
-        sub_doc["subset"] = subset_index
-        cube, labels = gen_synthetic(spec_from_dict(sub_doc))
-        write_cube(cube, labels, out / f"{name}.hypc")
+    for name, spec in specs.items():
+        write_cube(*gen_synthetic(spec), out / f"{name}.hypc")
         print(f"wrote {out / (name + '.hypc')}")
     return 0
 
@@ -120,8 +151,14 @@ def _class_weights(value) -> str | tuple[float, ...]:
     return value if isinstance(value, str) else tuple(float(v) for v in value)
 
 
-# Optional train-config keys and the types their values convert to; a key the
-# document leaves out takes the TrainConfig or RegConfig default.
+def _reg_config(doc) -> RegConfig:
+    _, options = _read_config(doc, {}, _REG_KEYS, "train config 'reg'")
+    return RegConfig(**options)
+
+
+_TRAIN_REQUIRED = {"train_data": str, "val_data": str, "num_filters": int, "peaks_per_filter": int}
+# Optional train-config keys and the functions their values convert with; a
+# key the document leaves out takes the TrainConfig or RegConfig default.
 _TRAIN_KEYS = {
     "learning_rate": float,
     "max_epochs": int,
@@ -133,6 +170,7 @@ _TRAIN_KEYS = {
     "head": str,
     "head_hidden": int,
     "head_weight_decay": float,
+    "reg": _reg_config,
 }
 _REG_KEYS = {
     "r_max": float,
@@ -140,49 +178,39 @@ _REG_KEYS = {
     "beta_min": float,
     "beta_max": float,
     "lambda_reg": float,
-    "enabled": tuple,
+    "enabled": _strings,
 }
 
 
-def _train_config_from(doc: dict, seed_override) -> TrainConfig:
-    reg_doc = doc.get("reg", {})
-    if not isinstance(reg_doc, dict):
-        raise DataError(f"train config key 'reg' must be an object, got {reg_doc!r}")
-    options = config_values(doc, _TRAIN_KEYS, "train config")
+def _train_settings(doc, seed_override=None) -> tuple[list, TrainConfig]:
+    """The values of a train config document's required keys, in order, and its TrainConfig."""
+    required, options = _read_config(doc, _TRAIN_REQUIRED, _TRAIN_KEYS, "train config")
     if seed_override is not None:
         options["seed"] = seed_override
-    return TrainConfig(reg=RegConfig(**config_values(reg_doc, _REG_KEYS, "train config 'reg'")), **options)
+    return required, TrainConfig(**options)
 
 
-def _read_labeled(path):
+def _read_labeled(path) -> tuple[Hypercube, np.ndarray, int]:
+    """A labelled cube file as (cube, labels, K), its own ignore value replaced by ``IGNORE_LABEL``."""
     cube, labels = read_cube(path)
     if labels is None:
         raise DataError(f"{path} carries no label block")
-    return cube, labels
+    values = labels.values  # parse_cube's own int64 array
+    values[values == labels.ignore_value] = IGNORE_LABEL
+    return cube, values, labels.num_classes
 
 
 def _cmd_train(args) -> int:
-    doc = _load_json(args.config)
-    train_path = config_value(doc, "train_data", str, "train config")
-    val_path = config_value(doc, "val_data", str, "train config")
-    num_filters = config_value(doc, "num_filters", int, "train config")
-    peaks = config_value(doc, "peaks_per_filter", int, "train config")
-    config = _train_config_from(doc, args.seed)
-    train_cube, train_labels = _read_labeled(train_path)
-    val_cube, val_labels = _read_labeled(val_path)
-    num_classes = max(train_labels.num_classes, val_labels.num_classes)
-    # The two files may mark unlabeled pixels differently; train takes one value.
-    ignore = train_labels.ignore_value
-    val_values = np.where(val_labels.values == val_labels.ignore_value, ignore, val_labels.values)
-
+    (train_path, val_path, num_filters, peaks), config = _train_settings(_load_json(args.config), args.seed)
+    train_cube, train_labels, train_classes = _read_labeled(train_path)
+    val_cube, val_labels, val_classes = _read_labeled(val_path)
     report = train(
-        (train_cube, train_labels.values),
-        (val_cube, val_values),
+        (train_cube, train_labels),
+        (val_cube, val_labels),
         num_filters,
         peaks,
         config,
-        num_classes=num_classes,
-        ignore=ignore,
+        num_classes=max(train_classes, val_classes),
     )
     out = _out_dir(args.out)
     (out / "report.json").write_text(report.to_json())
@@ -196,32 +224,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _paths(value) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError("expected a list of file paths")
-    return value
+_REDUCE_REQUIRED = {"method": str, "num_filters": int, "train_data": str}
+_REDUCE_KEYS = {"apply": _strings, "target_samples": int, "seed": int}
 
 
 def _cmd_reduce(args) -> int:
     doc = _load_json(args.config)
-    method = config_value(doc, "method", str, "reduce config")
-    num_filters = config_value(doc, "num_filters", int, "reduce config")
-    train_path = config_value(doc, "train_data", str, "reduce config")
-    apply_paths = config_value(doc, "apply", _paths, "reduce config", default=[])
-    options = config_values(doc, {"target_samples": int, "seed": int}, "reduce config")
-    cube, labels = _read_labeled(train_path)
+    (method, num_filters, train_path), options = _read_config(doc, _REDUCE_REQUIRED, _REDUCE_KEYS, "reduce config")
+    cube, labels, _ = _read_labeled(train_path)
     pipeline = fit_reduction_pipeline(
-        [(cube, labels.values)],
+        [(cube, labels)],
         method,
         num_filters,
         target_total=options.get("target_samples", 50_000),
         seed=args.seed if args.seed is not None else options.get("seed", 0),
-        ignore=labels.ignore_value,
     )
     out = _out_dir(args.out)
     (out / "pipeline.json").write_text(pipeline.to_json())
     print(f"wrote {out / 'pipeline.json'}")
-    for path in apply_paths:
+    for path in options.get("apply", ()):
         src_cube, src_labels = read_cube(path)
         reduced = project(src_cube, pipeline.stats, pipeline.projection)
         # Reduced channels have no physical wavelengths; store component indices.
@@ -233,17 +254,14 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pred_cube, pred_labels = _read_labeled(args.pred)
-    truth_cube, truth_labels = _read_labeled(args.truth)
-    if pred_labels.values.shape != truth_labels.values.shape:
-        raise DataError(
-            f"prediction labels {pred_labels.values.shape} do not match "
-            f"truth {truth_labels.values.shape}"
-        )
-    num_classes = max(pred_labels.num_classes, truth_labels.num_classes)
-    cm = ConfusionMatrix(num_classes).accumulate(
-        pred_labels.values, truth_labels.values, truth_labels.ignore_value
-    )
+    # Predictions are compared as stored; only the truth marks unlabeled pixels.
+    _, pred = read_cube(args.pred)
+    if pred is None:
+        raise DataError(f"{args.pred} carries no label block")
+    _, truth, truth_classes = _read_labeled(args.truth)
+    if pred.values.shape != truth.shape:
+        raise DataError(f"prediction labels {pred.values.shape} do not match truth {truth.shape}")
+    cm = ConfusionMatrix(max(pred.num_classes, truth_classes)).accumulate(pred.values, truth)
     report = compute_metrics(cm)
     print(report.format_table())
     print(json.dumps(report.to_dict(), indent=2))

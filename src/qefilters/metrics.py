@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import DataError
 
-IGNORE_LABEL = 65535
+IGNORE_LABEL = 65535  # the library's one unlabeled value; the CLI maps each file's to it
 
 
 class ConfusionMatrix:
-    """K x K integer counts; ignore-labeled pixels are never counted."""
+    """K x K integer counts; pixels labelled ``IGNORE_LABEL`` are never counted."""
 
     def __init__(self, num_classes: int):
         if num_classes < 1:
@@ -26,13 +26,13 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def accumulate(self, predictions, labels, ignore: int = IGNORE_LABEL) -> "ConfusionMatrix":
-        """Add one count per non-ignored pixel. Order-independent."""
+    def accumulate(self, predictions, labels) -> "ConfusionMatrix":
+        """Add one count per labelled pixel. Order-independent."""
         pred = np.asarray(predictions)
         truth = np.asarray(labels)
         if pred.shape != truth.shape:
             raise DataError(f"prediction shape {pred.shape} does not match labels {truth.shape}")
-        mask = truth != ignore
+        mask = truth != IGNORE_LABEL
         pred = pred[mask].astype(np.int64)
         truth = truth[mask].astype(np.int64)
         if truth.size and (truth.min() < 0 or truth.max() >= self.num_classes):

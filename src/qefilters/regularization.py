@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .filterbank import AMPLITUDE_LOGIT, CENTROID, LOG_BANDWIDTH, FilterBankParams
+from .filterbank import AMPLITUDE_LOGIT, CENTROID, EPSILON, LOG_BANDWIDTH, FilterBankParams
 
 REG_COMPONENTS = ("dominance", "separation", "bandwidth")
 
@@ -37,7 +37,6 @@ class RegConfig:
     beta_min: float = 0.03
     beta_max: float = 0.25
     lambda_reg: float = 0.1
-    epsilon: float = 1e-8
     enabled: tuple[str, ...] = REG_COMPONENTS
 
     def __post_init__(self):
@@ -51,11 +50,9 @@ class RegConfig:
             )
         if not 0.0 <= self.lambda_reg < np.inf:
             raise ConfigurationError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
-        if not 0.0 <= self.epsilon < np.inf:
-            raise ConfigurationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         unknown = set(self.enabled) - set(REG_COMPONENTS)
         if unknown:
-            raise ConfigurationError(f"unknown regularizer components: {sorted(unknown)}")
+            raise ConfigurationError(f"enabled names unknown regularizer components: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +68,11 @@ class RegLosses:
         return self.dominance + self.separation + self.bandwidth
 
 
-def dominance_loss(
-    params: FilterBankParams, r_max: float, epsilon: float = 1e-8
-) -> tuple[float, np.ndarray]:
+def dominance_loss(params: FilterBankParams, r_max: float) -> tuple[float, np.ndarray]:
     """Penalize secondary peaks taller than r_max of the dominant one.
 
-    Per filter: ReLU(a_second / (a_max + eps) - r_max), averaged over filters.
+    Per filter: ReLU(a_second / (a_max + EPSILON) - r_max), averaged over
+    filters, with the response guard ``filterbank.EPSILON``.
     Defined as zero for single-peak filters, where no secondary peak exists.
     Gradients reach the amplitude logits through the sigmoid chain. Like
     every penalty here, returns the value and its (F, P, 4) gradient in the
@@ -93,12 +89,12 @@ def dominance_loss(
         star = int(np.argmax(params.amplitude_logits[f]))
         rest = np.delete(np.arange(num_peaks), star)
         second = rest[int(np.argmax(a[rest]))]
-        ratio = a[second] / (a[star] + epsilon)
+        ratio = a[second] / (a[star] + EPSILON)
         margin = ratio - r_max
         if margin > 0.0:
             total += margin
-            d_second = 1.0 / (a[star] + epsilon) / num_filters
-            d_star = -a[second] / (a[star] + epsilon) ** 2 / num_filters
+            d_second = 1.0 / (a[star] + EPSILON) / num_filters
+            d_star = -a[second] / (a[star] + EPSILON) ** 2 / num_filters
             grad[f, second, AMPLITUDE_LOGIT] += d_second * a[second] * (1.0 - a[second])
             grad[f, star, AMPLITUDE_LOGIT] += d_star * a[star] * (1.0 - a[star])
     return total / num_filters, grad
@@ -155,7 +151,7 @@ def total_reg(params: FilterBankParams, config: RegConfig) -> tuple[RegLosses, n
     grad = np.zeros_like(params.table)
     dom = sep = bw = 0.0
     if "dominance" in config.enabled:
-        dom, g = dominance_loss(params, config.r_max, config.epsilon)
+        dom, g = dominance_loss(params, config.r_max)
         grad += g
     if "separation" in config.enabled:
         sep, g = separation_loss(params, config.d_min)

@@ -156,19 +156,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return p
 
 
-def _check_labels(labels: np.ndarray, num_classes: int, ignore: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_labels(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Targets of a (B, H, W) label map, each shaped (B, 1, H, W).
 
-    Returns the class index of every pixel, 0 on ignored ones, and the mask
-    of labelled pixels. The ignore value may lie inside [0, K), so callers
-    weight by the mask rather than trust the index to miss it.
+    Returns the class index of every pixel, 0 on unlabeled ones (those equal
+    to ``IGNORE_LABEL``), and the mask of labelled pixels. Class 0 is a real
+    class, so callers weight by the mask rather than trust the index.
+    Raises ``DataError`` for any other label outside [0, K).
     """
     labels = np.asarray(labels)
-    mask = labels != ignore
+    mask = labels != IGNORE_LABEL
     target = np.where(mask, labels, 0).astype(np.intp, copy=False)
     if target.size and (target.min() < 0 or target.max() >= num_classes):
         bad = labels[mask & ((labels < 0) | (labels >= num_classes))][0]
-        raise DataError(f"label {bad} outside [0, {num_classes}) and not the ignore value")
+        raise DataError(f"label {bad} outside [0, {num_classes}) and not IGNORE_LABEL")
     return target[:, None], mask[:, None]
 
 
@@ -176,9 +177,8 @@ def weighted_cross_entropy(
     logits: np.ndarray,
     labels: np.ndarray,
     class_weights: np.ndarray,
-    ignore: int = IGNORE_LABEL,
 ) -> tuple[float, np.ndarray]:
-    """Weighted mean negative log-softmax over non-ignored pixels.
+    """Weighted mean negative log-softmax over labelled pixels.
 
     Normalizes by the summed weights of the contributing pixels, so uniform
     weights give the plain per-pixel mean.
@@ -187,9 +187,9 @@ def weighted_cross_entropy(
     weights = np.asarray(class_weights, dtype=float)
     if weights.shape != (num_classes,):
         raise ConfigurationError(f"class weights must have shape ({num_classes},)")
-    if np.any(weights < 0):
-        raise ConfigurationError("class weights must be non-negative")
-    target, mask = _check_labels(labels, num_classes, ignore)
+    if not np.all(weights >= 0):  # NaN fails this too
+        raise ConfigurationError("class weights must be non-negative numbers")
+    target, mask = _check_labels(labels, num_classes)
     if not mask.any():
         raise DataError("all pixels are ignored; cross-entropy undefined")
 
@@ -212,19 +212,14 @@ def weighted_cross_entropy(
     return value, probs
 
 
-def soft_dice(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    ignore: int = IGNORE_LABEL,
-    smoothing: float = 1.0,
-) -> tuple[float, np.ndarray]:
+def soft_dice(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Soft Dice on softmax probabilities, averaged over all classes.
 
     1 - mean_k (2 * sum(p_k * g_k) + s) / (sum(p_k) + sum(g_k) + s), with
-    one-hot targets g and sums over non-ignored pixels.
+    smoothing s = 1, one-hot targets g and sums over labelled pixels.
     """
     num_classes = logits.shape[1]
-    target, mask = _check_labels(labels, num_classes, ignore)
+    target, mask = _check_labels(labels, num_classes)
     if not mask.any():
         raise DataError("all pixels are ignored; Dice undefined")
     p = _softmax(logits)
@@ -241,14 +236,14 @@ def soft_dice(
     for b in range(len(p)):
         overlap += np.sum(np.multiply(p[b], onehot[b], out=image), axis=(1, 2))
         total += np.sum(np.add(p[b], onehot[b], out=image), axis=(1, 2))
-    denom = total + smoothing
-    dice_k = (2.0 * overlap + smoothing) / denom
+    denom = total + 1.0
+    dice_k = (2.0 * overlap + 1.0) / denom
     value = float(1.0 - dice_k.mean())
 
     # d(value)/dp takes one value per class where g = 0 and one where g = 1;
     # then through the softmax Jacobian per pixel, into p's array. p = 0
     # keeps ignored pixels at zero gradient.
-    through_denom = (2.0 * overlap + smoothing) / denom**2
+    through_denom = (2.0 * overlap + 1.0) / denom**2
     at_miss = -(2.0 * 0.0 / denom - through_denom) / num_classes
     at_hit = -(2.0 * 1.0 / denom - through_denom) / num_classes
     for b in range(len(p)):
@@ -260,28 +255,21 @@ def soft_dice(
     return value, p
 
 
-def seg_loss(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    class_weights: np.ndarray,
-    ignore: int = IGNORE_LABEL,
-) -> tuple[float, np.ndarray]:
+def seg_loss(logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Combined class-weighted cross-entropy and soft Dice, unit weights each."""
-    ce, grad = weighted_cross_entropy(logits, labels, class_weights, ignore)
-    dice, dice_grad = soft_dice(logits, labels, ignore)
+    ce, grad = weighted_cross_entropy(logits, labels, class_weights)
+    dice, dice_grad = soft_dice(logits, labels)
     grad += dice_grad
     return ce + dice, grad
 
 
-def inverse_frequency_weights(
-    labels: np.ndarray, num_classes: int, ignore: int = IGNORE_LABEL
-) -> np.ndarray:
+def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Per-class weights proportional to inverse pixel frequency, mean 1.
 
     Counts are floored at one pixel so classes absent from the split stay
     finite; they never contribute to the loss anyway.
     """
-    mask = np.asarray(labels) != ignore
+    mask = np.asarray(labels) != IGNORE_LABEL
     vals = np.asarray(labels)[mask].astype(np.int64)
     counts = np.bincount(vals, minlength=num_classes).astype(float)
     counts = np.maximum(counts, 1.0)
@@ -357,9 +345,13 @@ class TrainConfig:
             raise ConfigurationError("patience must lie in [1, max_epochs]")
         if self.batch_size < 1 or self.accumulate_steps < 1:
             raise ConfigurationError("batch_size and accumulate_steps must be >= 1")
-        if isinstance(self.class_weights, str) and self.class_weights != "inverse-frequency":
+        if isinstance(self.class_weights, str):
+            valid = self.class_weights == "inverse-frequency"
+        else:
+            valid = all(0 <= w < np.inf for w in self.class_weights)
+        if not valid:
             raise ConfigurationError(
-                f"class_weights must be 'inverse-frequency' or a sequence, got {self.class_weights!r}"
+                f"class_weights must be 'inverse-frequency' or finite weights >= 0, got {self.class_weights!r}"
             )
 
 
@@ -387,9 +379,12 @@ class TrainReport:
     centroid_history: np.ndarray  # (epochs, F, P)
     num_classes: int
     stopped_early: bool
-    # Centroids are never hard-clamped during training; this diagnostic counts
-    # epochs that ended with any centroid outside [0, 1].
-    centroid_out_of_range_epochs: int = 0
+
+    @property
+    def centroid_out_of_range_epochs(self) -> int:
+        """Epochs that ended with a centroid outside [0, 1], which training never clamps."""
+        outside = (self.centroid_history < 0.0) | (self.centroid_history > 1.0)
+        return int(np.count_nonzero(outside.any(axis=(1, 2))))
 
     def epochs_csv(self) -> str:
         lines = ["epoch,seg_loss,L_dom,L_sep,L_bw,train_miou,val_miou"]
@@ -459,9 +454,9 @@ def _predict(response, head, cube: Hypercube) -> np.ndarray:
     return _argmax_classes(logits)
 
 
-def _miou(response, head, cube, labels, num_classes, ignore) -> float:
+def _miou(response, head, cube, labels, num_classes) -> float:
     pred = _predict(response, head, cube)
-    cm = ConfusionMatrix(num_classes).accumulate(pred, labels, ignore)
+    cm = ConfusionMatrix(num_classes).accumulate(pred, labels)
     return compute_metrics(cm).miou
 
 
@@ -506,7 +501,7 @@ def _bank_state(bank, lam_norm, reg):
     return response, reg_losses, reg.lambda_reg * reg_grad
 
 
-def _batch_gradients(head, response, reg_grad, cube, labels, weights, ignore, epoch):
+def _batch_gradients(head, response, reg_grad, cube, labels, weights, epoch):
     """Segmentation loss of one batch and its gradients in parameter order.
 
     The gradients are those of ``[bank.table, *head.parameters().values()]``;
@@ -515,7 +510,7 @@ def _batch_gradients(head, response, reg_grad, cube, labels, weights, ignore, ep
     """
     feats = apply_filter_bank(cube, response)
     logits, cache = head.forward(feats)
-    seg, d_logits = seg_loss(logits, labels, weights, ignore)
+    seg, d_logits = seg_loss(logits, labels, weights)
     if not np.isfinite(seg):
         raise TrainingDivergedError(epoch)
     head_grads, d_feats = head.backward(cache, d_logits)
@@ -529,14 +524,14 @@ def train(
     peaks_per_filter: int,
     config: TrainConfig,
     num_classes: int | None = None,
-    ignore: int = IGNORE_LABEL,
 ) -> TrainReport:
     """Jointly optimize the filter bank and the head on the full objective.
 
     Evaluates validation mIoU every epoch, stops after ``patience`` epochs
     without strict improvement, and returns the best-epoch snapshot together
     with the full trajectory. The bank's wavelength range is the first/last
-    channel wavelength of the training cube.
+    channel wavelength of the training cube. Pixels labelled
+    ``IGNORE_LABEL`` are unlabeled: they enter no loss and no metric.
     """
     train_cube, train_labels = train_data
     val_cube, val_labels = val_data
@@ -548,15 +543,15 @@ def train(
             raise DimensionMismatchError(f"{split} labels have shape {labels.shape}, not (B, H, W) {expected}")
     if train_cube.dims[0] < 1 or val_cube.dims[0] < 1:
         raise ConfigurationError("need at least one training and one validation image")
-    if not np.any(train_labels != ignore) or not np.any(val_labels != ignore):
+    if not np.any(train_labels != IGNORE_LABEL) or not np.any(val_labels != IGNORE_LABEL):
         raise ConfigurationError("a split has no labeled pixels")
 
     if num_classes is None:
         num_classes = int(
-            max(train_labels[train_labels != ignore].max(), val_labels[val_labels != ignore].max())
+            max(train_labels[train_labels != IGNORE_LABEL].max(), val_labels[val_labels != IGNORE_LABEL].max())
         ) + 1
-    _check_labels(train_labels, num_classes, ignore)
-    _check_labels(val_labels, num_classes, ignore)
+    _check_labels(train_labels, num_classes)
+    _check_labels(val_labels, num_classes)
 
     wl = train_cube.wavelengths_nm
     wl_range = WavelengthRange(float(wl[0]), float(wl[-1]))
@@ -571,7 +566,7 @@ def train(
     shuffle_rng = make_generator(config.seed, 2)
 
     if config.class_weights == "inverse-frequency":
-        weights = inverse_frequency_weights(train_labels, num_classes, ignore)
+        weights = inverse_frequency_weights(train_labels, num_classes)
     else:
         weights = np.asarray(config.class_weights, dtype=float)
         if weights.shape != (num_classes,):
@@ -595,7 +590,6 @@ def train(
     best_head = {k: p.copy() for k, p in head.parameters().items()}
     since_improvement = 0
     stopped_early = False
-    out_of_range_epochs = 0
     response, reg_losses, reg_grad = _bank_state(bank, lam_norm, config.reg)
 
     for epoch in range(1, config.max_epochs + 1):
@@ -604,9 +598,7 @@ def train(
         pending, count = None, 0
         for start in range(0, num_images, batch):
             batch_cube, batch_labels = batches.load(order[start : start + batch])
-            seg, grads = _batch_gradients(
-                head, response, reg_grad, batch_cube, batch_labels, weights, ignore, epoch
-            )
+            seg, grads = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, epoch)
             epoch_seg.append(seg)
             pending = grads if pending is None else [p + g for p, g in zip(pending, grads)]
             count += 1
@@ -620,8 +612,8 @@ def train(
             response, reg_losses, reg_grad = _bank_state(bank, lam_norm, config.reg)
             pending, count = None, 0
 
-        train_miou = _miou(response, head, train_cube, train_labels, num_classes, ignore)
-        val_miou = _miou(response, head, val_cube, val_labels, num_classes, ignore)
+        train_miou = _miou(response, head, train_cube, train_labels, num_classes)
+        val_miou = _miou(response, head, val_cube, val_labels, num_classes)
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -634,8 +626,6 @@ def train(
             )
         )
         centroid_history.append(bank.centroids.copy())
-        if np.any((bank.centroids < 0.0) | (bank.centroids > 1.0)):
-            out_of_range_epochs += 1
 
         if val_miou > best_val:
             best_val = val_miou
@@ -659,7 +649,6 @@ def train(
         centroid_history=np.array(centroid_history),
         num_classes=num_classes,
         stopped_early=stopped_early,
-        centroid_out_of_range_epochs=out_of_range_epochs,
     )
 
 

@@ -64,7 +64,7 @@ class TestStratifiedSample:
         cube, labels = labeled_cube(1, 2, 8, 8)
         labels[:] = 0
         labels[0, 0, :3] = 1  # only 3 pixels of class 1
-        sample = stratified_sample([(cube, labels)], 100, seed=0, num_classes=2)
+        sample = stratified_sample([(cube, labels)], 100, seed=0)
         assert sample.per_class_counts[1] == 3
         assert sample.per_class_counts[0] == 50
 
@@ -78,7 +78,7 @@ class TestStratifiedSample:
         lab_a[0, :3, :] = 0  # 30 pixels
         lab_b[0, :7, :] = 0  # 70 pixels
         quota = 50
-        sample = stratified_sample([(cube_a, lab_a), (cube_b, lab_b)], quota * 2, seed=4, num_classes=2)
+        sample = stratified_sample([(cube_a, lab_a), (cube_b, lab_b)], quota * 2, seed=4)
         # oracle: largest-remainder of 50 proportional to (30, 70)
         exact = np.array([50 * 30 / 100, 50 * 70 / 100])
         drawn_a = sample.per_class_counts[0]
@@ -184,6 +184,12 @@ class TestPCA:
         with pytest.raises(ConfigurationError):
             fit_pca(np.zeros((4, 3)), 4)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_fewer_than_one_component(self, count):
+        matrix = np.random.default_rng(18).normal(size=(20, 5))
+        with pytest.raises(ConfigurationError, match="num_components"):
+            fit_pca(matrix, count)
+
 
 def reference_nmf(v, k, iters, seed):
     """Step-for-step multiplicative-update oracle with the same init."""
@@ -232,6 +238,12 @@ class TestNMF:
     def test_negative_input_rejected(self):
         with pytest.raises(DataError):
             fit_nmf(np.array([[1.0, -0.1]]), 1)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_fewer_than_one_component(self, count):
+        matrix = np.random.default_rng(19).random((20, 5))
+        with pytest.raises(ConfigurationError, match="num_components"):
+            fit_nmf(matrix, count)
 
 
 class TestProject:

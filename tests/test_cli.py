@@ -45,6 +45,15 @@ def synth_config(tmp_path, noise=0.05, train_images=6, val_images=2, seed=11):
     return path
 
 
+def relabeled(src, dest, ignore, num_classes=None):
+    """Copy a labelled file to ``dest`` with its first two rows unlabeled, marked ``ignore``."""
+    cube, labels = read_cube(src)
+    values = labels.values.copy()
+    values[:, :2] = ignore
+    write_cube(cube, LabelMap(values, num_classes or labels.num_classes, ignore), dest)
+    return dest
+
+
 class TestGenSynth:
     def test_writes_train_and_val(self, tmp_path, capsys):
         config = synth_config(tmp_path)
@@ -142,6 +151,31 @@ class TestTrainCommand:
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_ignore_value_inside_class_range(self, tmp_path):
+        # Ignore value 2 with K = 3 marks the same pixels as 65535 does.
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        reports = []
+        for ignore in (65535, 2):
+            train_doc = {
+                "train_data": str(relabeled(data_dir / "train.hypc", tmp_path / f"train_{ignore}.hypc", ignore, 3)),
+                "val_data": str(relabeled(data_dir / "val.hypc", tmp_path / f"val_{ignore}.hypc", ignore, 3)),
+                "num_filters": 1,
+                "peaks_per_filter": 1,
+                "learning_rate": 1e-2,
+                "max_epochs": 4,
+                "patience": 4,
+                "seed": 5,
+            }
+            train_path = tmp_path / f"train_{ignore}.json"
+            train_path.write_text(json.dumps(train_doc))
+            out = tmp_path / f"r{ignore}"
+            assert cli(["train", "--config", str(train_path), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert json.loads(reports[0])["num_classes"] == 3
+        assert reports[0] == reports[1]
+
     def test_divergence_exit_code(self, tmp_path):
         config = synth_config(tmp_path)
         data_dir = tmp_path / "data"
@@ -181,6 +215,36 @@ class TestReduceCommand:
         assert reduced.dims[1] == 2
         assert labels is not None
 
+    @pytest.mark.parametrize("method", ["pca", "nmf"])
+    def test_train_file_with_its_own_ignore_value(self, tmp_path, method):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        pipelines = []
+        for ignore in (65535, 255):
+            train_path = relabeled(data_dir / "train.hypc", tmp_path / f"train_{ignore}.hypc", ignore)
+            doc = {"method": method, "num_filters": 2, "train_data": str(train_path), "target_samples": 300}
+            path = tmp_path / f"reduce_{ignore}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"red_{ignore}"
+            assert cli(["reduce", "--config", str(path), "--out", str(out)]) == 0
+            pipelines.append((out / "pipeline.json").read_bytes())
+        assert pipelines[0] == pipelines[1]
+
+    @pytest.mark.parametrize("method", ["pca", "nmf"])
+    def test_fewer_than_one_component_writes_nothing(self, tmp_path, capsys, method):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        doc = {"method": method, "num_filters": -1, "train_data": str(data_dir / "train.hypc")}
+        path = tmp_path / "reduce.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "red"
+        assert cli(["reduce", "--config", str(path), "--out", str(out)]) == 2
+        assert "num_components" in capsys.readouterr().err
+        assert not (out / "pipeline.json").exists()
+
 
 class TestEvalCommand:
     def test_identical_labels_print_100(self, tmp_path, capsys):
@@ -201,6 +265,25 @@ class TestEvalCommand:
         assert "mIoU" in out and "100.00" in out
         metrics = json.loads((tmp_path / "m" / "metrics.json").read_text())
         assert metrics["miou"] == pytest.approx(100.0)
+
+    def test_truth_file_with_its_own_ignore_value(self, tmp_path):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        # Predictions that are wrong on a labelled row, so the metrics depend on the mask.
+        cube, labels = read_cube(data_dir / "val.hypc")
+        pred = labels.values.copy()
+        pred[:, 2] = 1 - pred[:, 2]
+        write_cube(cube, LabelMap(pred, labels.num_classes), tmp_path / "pred.hypc")
+        metrics = []
+        for ignore in (65535, 255):
+            truth = relabeled(data_dir / "val.hypc", tmp_path / f"truth_{ignore}.hypc", ignore)
+            out = tmp_path / f"m_{ignore}"
+            code = cli(["eval", "--pred", str(tmp_path / "pred.hypc"), "--truth", str(truth), "--out", str(out)])
+            assert code == 0
+            metrics.append((out / "metrics.json").read_bytes())
+        assert metrics[0] == metrics[1]
+        assert json.loads(metrics[0])["miou"] < 100.0
 
 
 class TestExportFilters:
@@ -298,6 +381,7 @@ class TestExitCodes:
             pytest.param({"learning_rate": "fast"}, "learning_rate", id="learning_rate"),
             pytest.param({"num_filters": "two"}, "num_filters", id="num_filters"),
             pytest.param({"reg": {"enabled": 5}}, "enabled", id="reg.enabled"),
+            pytest.param({"reg": {"enabled": "dominance"}}, "enabled", id="reg.enabled-string"),
             pytest.param({"class_weights": "uniform"}, "class_weights", id="class_weights"),
         ],
     )
@@ -310,12 +394,25 @@ class TestExitCodes:
         [
             pytest.param({"learning_rate": float("nan")}, "learning_rate", id="learning_rate-nan"),
             pytest.param({"head": "mlp", "head_hidden": 0}, "head_hidden", id="head_hidden-0"),
+            pytest.param({"class_weights": [float("nan"), 1.0]}, "class_weights", id="class_weights-nan"),
         ],
     )
     def test_train_config_value_out_of_range(self, tmp_path, capsys, setting, key):
         # json reads NaN; the config must reject it before training diverges.
         assert self._train_with(tmp_path, capsys, setting) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            pytest.param({"lerning_rate": 5.0}, "lerning_rate", id="top-level"),
+            pytest.param({"reg": {"d_min": 0.1, "epsilon": 1e-6}}, "epsilon", id="reg"),
+        ],
+    )
+    def test_train_config_unknown_key(self, tmp_path, capsys, setting, key):
+        assert self._train_with(tmp_path, capsys, setting) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @staticmethod
     def _train_with(tmp_path, capsys, setting) -> int:
@@ -345,6 +442,28 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert cli(["reduce", "--config", str(path), "--out", str(tmp_path / "red")]) == 2
         assert "num_filters" in capsys.readouterr().err
+
+    def test_reduce_config_unknown_key(self, tmp_path, capsys):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        doc = {"method": "pca", "num_filters": 2, "train_data": str(data_dir / "train.hypc"), "target_sample": 300}
+        path = tmp_path / "reduce.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "red"
+        assert cli(["reduce", "--config", str(path), "--out", str(out)]) == 2
+        assert "'target_sample'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_synth_config_unknown_key(self, tmp_path, capsys):
+        doc = json.loads(synth_config(tmp_path).read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(doc, noise=0.1)))
+        out = tmp_path / "data"
+        assert cli(["gen-synth", "--config", str(path), "--out", str(out)]) == 2
+        assert "'noise'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [5, "val.hypc", ["val.hypc", 3]], ids=["number", "string", "mixed-list"])
     def test_reduce_apply_of_wrong_type_writes_nothing(self, tmp_path, capsys, value):

@@ -1,22 +1,41 @@
-"""The README's library quick start runs against the package as documented."""
+"""The README's code and config blocks run against the package as documented."""
 
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from qefilters.cli import _REDUCE_KEYS, _REDUCE_REQUIRED, _read_config, _synth_specs, _train_settings
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _quick_start() -> str:
-    """The first ``python`` block under the "Library quick start" heading."""
+def _block(heading: str, language: str) -> str:
+    """The first ``language`` block under ``heading``."""
     text = README.read_text()
-    section = text[text.index("## Library quick start") :]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    section = text[text.index(heading) :]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
 
 
 def test_library_quick_start_runs_with_the_commented_shapes():
     namespace = {}
-    exec(compile(_quick_start(), str(README), "exec"), namespace)
+    exec(compile(_block("## Library quick start", "python"), str(README), "exec"), namespace)
     bank = namespace["bank"]
     assert namespace["reduced"].shape == (2, 3, 32, 32)
     assert namespace["grads"].shape == bank.table.shape == (3, 1, 4)
     assert namespace["reg_grads"].shape == (3, 1, 4)
+
+
+@pytest.mark.parametrize(
+    "heading, reader",
+    [
+        ("### gen-synth config", _synth_specs),
+        ("### train config", _train_settings),
+        ("### reduce config", lambda doc: _read_config(doc, _REDUCE_REQUIRED, _REDUCE_KEYS, "reduce config")),
+    ],
+    ids=["gen-synth", "train", "reduce"],
+)
+def test_config_block_passes_the_cli_reader(heading, reader):
+    # The readers reject a key they do not know, so every documented key must be one.
+    reader(json.loads(_block(heading, "json")))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qefilters import (
+    EPSILON,
     FilterBankParams,
     RegConfig,
     RegLosses,
@@ -187,7 +188,7 @@ def away_from_kinks(bank, cfg, margin=1e-3):
             top = np.sort(amplitude[f])[::-1]
             if top[0] - top[1] < margin:
                 return False
-            if abs(top[1] / (top[0] + cfg.epsilon) - cfg.r_max) < margin:
+            if abs(top[1] / (top[0] + EPSILON) - cfg.r_max) < margin:
                 return False
     centroids = bank.centroids[np.arange(num_filters), star]
     for f in range(num_filters):

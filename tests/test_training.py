@@ -83,23 +83,16 @@ class TestSegLoss:
         assert np.all(grad[0, :, 0, 1] == 0.0)
         assert np.all(grad[0, :, 1, 1] == 0.0)
 
-    def test_ignore_value_inside_class_range(self):
-        rng = np.random.default_rng(3)
-        logits = rng.normal(size=(2, 3, 4, 4))
-        labels = rng.integers(0, 3, size=(2, 4, 4))
-        ignored = labels == 1
-        assert ignored.any()
-        weights = np.array([1.0, 2.0, 0.5])
-        value, grad = seg_loss(logits, labels, weights, ignore=1)
-        ref_value, ref_grad = seg_loss(logits, np.where(ignored, IGNORE_LABEL, labels), weights)
-        assert value == ref_value
-        np.testing.assert_array_equal(grad, ref_grad)
-        assert np.all(grad.transpose(0, 2, 3, 1)[ignored] == 0.0)
-
     def test_label_out_of_range(self):
         logits = np.zeros((1, 2, 1, 1))
         with pytest.raises(DataError):
             seg_loss(logits, np.array([[[3]]]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_class_weights_must_be_non_negative_numbers(self, bad):
+        logits = np.zeros((1, 2, 1, 2))
+        with pytest.raises(ConfigurationError, match="class weights"):
+            weighted_cross_entropy(logits, np.array([[[0, 1]]]), np.array([bad, 1.0]))
 
     @staticmethod
     def _dense_case(name):
@@ -113,9 +106,8 @@ class TestSegLoss:
         logits = 3.0 * rng.normal(size=shape)
         labels = rng.integers(0, k, (b, h, w))
         weights = np.ones(k)
-        ignore = IGNORE_LABEL
-        if name == "ignore-inside-range":
-            ignore = 2
+        if name == "class-2-unlabeled":
+            labels[labels == 2] = IGNORE_LABEL
         elif name == "ignored-rows":
             labels[0, 1:3] = IGNORE_LABEL
             labels[1, :] = IGNORE_LABEL
@@ -124,25 +116,25 @@ class TestSegLoss:
         elif name == "single-labelled-pixel":
             labels[:] = IGNORE_LABEL
             labels[1, 4, 2] = 3
-        return logits, labels, weights, ignore
+        return logits, labels, weights
 
     @pytest.mark.parametrize(
         "name",
-        ["ignore-inside-range", "ignored-rows", "non-uniform-weights", "single-labelled-pixel",
+        ["class-2-unlabeled", "ignored-rows", "non-uniform-weights", "single-labelled-pixel",
          "single-pixel-many-classes", "single-class", "planes-past-8192-pixels"],
     )
     def test_terms_equal_dense_one_hot_oracle(self, name):
-        logits, labels, weights, ignore = self._dense_case(name)
+        logits, labels, weights = self._dense_case(name)
         before = logits.copy()
-        ce, ce_grad = weighted_cross_entropy(logits, labels, weights, ignore)
-        ref_ce, ref_ce_grad = dense_weighted_cross_entropy(logits, labels, weights, ignore)
+        ce, ce_grad = weighted_cross_entropy(logits, labels, weights)
+        ref_ce, ref_ce_grad = dense_weighted_cross_entropy(logits, labels, weights, IGNORE_LABEL)
         assert ce == ref_ce
         np.testing.assert_array_equal(ce_grad, ref_ce_grad)
-        dice, dice_grad = soft_dice(logits, labels, ignore)
-        ref_dice, ref_dice_grad = dense_soft_dice(logits, labels, ignore)
+        dice, dice_grad = soft_dice(logits, labels)
+        ref_dice, ref_dice_grad = dense_soft_dice(logits, labels, IGNORE_LABEL)
         assert dice == ref_dice
         np.testing.assert_array_equal(dice_grad, ref_dice_grad)
-        value, grad = seg_loss(logits, labels, weights, ignore)
+        value, grad = seg_loss(logits, labels, weights)
         assert value == ref_ce + ref_dice
         np.testing.assert_array_equal(grad, ref_ce_grad + ref_dice_grad)
         np.testing.assert_array_equal(logits, before)  # the terms leave their input alone
@@ -309,7 +301,7 @@ class TestEndToEndGradient:
         assert total_reg(bank, reg_cfg)[0].separation > 0.0
         # the bank gradient the training loop applies
         response, _, reg_grad = _bank_state(bank, lam, reg_cfg)
-        _, grads = _batch_gradients(head, response, reg_grad, cube, labels, weights, IGNORE_LABEL, 1)
+        _, grads = _batch_gradients(head, response, reg_grad, cube, labels, weights, 1)
         full_grad = grads[0]
 
         step = 1e-5
@@ -350,7 +342,7 @@ class TestEndToEndGradient:
         initial = current_loss(bank)
         for _ in range(50):
             response, _, reg_grad = _bank_state(bank, lam, cfg)
-            _, grads = _batch_gradients(head, response, reg_grad, cube, labels, weights, IGNORE_LABEL, 1)
+            _, grads = _batch_gradients(head, response, reg_grad, cube, labels, weights, 1)
             optimizer.step(grads)
         assert current_loss(bank) < initial
 
@@ -370,9 +362,9 @@ class TestBatchBuffer:
         for idx in (np.array([4, 1]), np.array([0, 3]), np.array([2])):
             batch_cube, batch_labels = batches.load(idx)
             assert batch_cube.dims == (len(idx),) + cube.dims[1:]
-            got = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, IGNORE_LABEL, 1)
+            got = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, 1)
             fresh = Hypercube(cube.data[idx], cube.wavelengths_nm)
-            want = _batch_gradients(head, response, reg_grad, fresh, labels[idx], weights, IGNORE_LABEL, 1)
+            want = _batch_gradients(head, response, reg_grad, fresh, labels[idx], weights, 1)
             assert got[0] == want[0]
             assert len(got[1]) == len(want[1]) == 5
             for i, grad in enumerate(want[1]):
@@ -571,7 +563,9 @@ class TestTrainLoop:
             pytest.param(lambda: TrainConfig(head_hidden=0), "head_hidden", id="hidden-0"),
             pytest.param(lambda: RegConfig(lambda_reg=float("nan")), "lambda_reg", id="lambda-nan"),
             pytest.param(lambda: RegConfig(lambda_reg=float("inf")), "lambda_reg", id="lambda-inf"),
-            pytest.param(lambda: RegConfig(epsilon=float("nan")), "epsilon", id="epsilon-nan"),
+            pytest.param(lambda: TrainConfig(class_weights=(float("nan"), 1.0)), "class_weights", id="weight-nan"),
+            pytest.param(lambda: TrainConfig(class_weights=(float("inf"), 1.0)), "class_weights", id="weight-inf"),
+            pytest.param(lambda: TrainConfig(class_weights=(-1.0, 1.0)), "class_weights", id="weight-negative"),
         ],
     )
     def test_config_rejects_non_finite_and_out_of_range(self, make, field):
