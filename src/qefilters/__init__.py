@@ -11,7 +11,6 @@ from .classical import (
     LinearProjection,
     PixelSample,
     ReductionPipeline,
-    apply_band_stats,
     fit_band_stats,
     fit_nmf,
     fit_pca,

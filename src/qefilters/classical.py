@@ -140,18 +140,10 @@ def fit_band_stats(sample: PixelSample) -> BandStats:
     return BandStats(mean=mean, std=std)
 
 
-def apply_band_stats(cube: Hypercube, stats: BandStats) -> Hypercube:
-    """Standardize every pixel of a cube with previously saved statistics."""
-    if stats.mean.size != cube.dims[1]:
-        raise DimensionMismatchError(
-            f"stats cover {stats.mean.size} bands but cube has {cube.dims[1]}"
-        )
-    data = (cube.data - stats.mean[None, :, None, None]) / stats.std[None, :, None, None]
-    return Hypercube(data, cube.wavelengths_nm)
-
-
-def standardize_sample(sample: PixelSample, stats: BandStats) -> np.ndarray:
-    return (sample.matrix - stats.mean[None, :]) / stats.std[None, :]
+def _standardize(x: np.ndarray, stats: BandStats) -> np.ndarray:
+    """``(x - mean) / std`` band by band, for an ``x`` with its bands on axis 1."""
+    per_band = (-1,) + (1,) * (x.ndim - 2)
+    return (x - stats.mean.reshape(per_band)) / stats.std.reshape(per_band)
 
 
 def fit_pca(matrix: np.ndarray, num_components: int) -> LinearProjection:
@@ -239,8 +231,11 @@ def fit_nmf(
 
 def project(cube: Hypercube, stats: BandStats, projection: LinearProjection) -> np.ndarray:
     """Standardize, apply the NMF shift if any, then matrix-multiply per pixel."""
-    standardized = apply_band_stats(cube, stats)
-    data = standardized.data
+    if stats.mean.size != cube.dims[1]:
+        raise DimensionMismatchError(
+            f"stats cover {stats.mean.size} bands but cube has {cube.dims[1]}"
+        )
+    data = _standardize(cube.data, stats)
     if projection.components.shape[1] != cube.dims[1]:
         raise DimensionMismatchError(
             f"projection covers {projection.components.shape[1]} bands but cube has {cube.dims[1]}"
@@ -322,7 +317,7 @@ def fit_reduction_pipeline(
     """
     sample = stratified_sample(cubes, target_total, seed)
     stats = fit_band_stats(sample)
-    standardized = standardize_sample(sample, stats)
+    standardized = _standardize(sample.matrix, stats)
     if method == "pca":
         projection = fit_pca(standardized, num_components)
     elif method == "nmf":

@@ -23,6 +23,7 @@ from .errors import (
     DataError,
     QEFiltersError,
     TrainingDivergedError,
+    check_keys,
     config_value,
     config_values,
 )
@@ -95,18 +96,9 @@ def _out_dir(out) -> Path:
     return path
 
 
-def _check_keys(doc, known, where: str) -> None:
-    """Reject a ``doc`` that is not an object or has a key outside ``known``, such as a misspelt one."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{where} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ConfigurationError(f"{where} has unknown keys {', '.join(map(repr, unknown))}")
-
-
 def _read_config(doc, required: dict, optional: dict, where: str) -> tuple[list, dict]:
     """The ``required`` values in order and the ``optional`` ones ``doc`` sets, each converted by its kind."""
-    _check_keys(doc, [*required, *optional], where)
+    check_keys(doc, [*required, *optional], where)
     values = [config_value(doc, key, kind, where) for key, kind in required.items()]
     return values, config_values(doc, optional, where)
 
@@ -126,7 +118,7 @@ _SYNTH_COUNTS = {"images": int, "train_images": int, "val_images": int}
 
 def _synth_specs(doc, seed_override=None) -> dict[str, SynthSpec]:
     """The specs of the ``train`` and ``val`` files a gen-synth config document describes."""
-    _check_keys(doc, [*_SYNTH_SPEC_KEYS, *_SYNTH_COUNTS], "gen-synth config")
+    check_keys(doc, [*_SYNTH_SPEC_KEYS, *_SYNTH_COUNTS], "gen-synth config")
     if seed_override is not None:
         doc = dict(doc, seed=seed_override)
     counts = config_values(doc, _SYNTH_COUNTS, "gen-synth config")
@@ -231,6 +223,12 @@ _REDUCE_KEYS = {"apply": _strings, "target_samples": int, "seed": int}
 def _cmd_reduce(args) -> int:
     doc = _load_json(args.config)
     (method, num_filters, train_path), options = _read_config(doc, _REDUCE_REQUIRED, _REDUCE_KEYS, "reduce config")
+    outputs = {}  # output file name -> the 'apply' entry it reduces
+    for path in options.get("apply", ()):
+        name = Path(path).stem + ".reduced.hypc"
+        if name in outputs:
+            raise ConfigurationError(f"reduce config 'apply' entries {outputs[name]!r} and {path!r} both write {name}")
+        outputs[name] = path
     cube, labels, _ = _read_labeled(train_path)
     pipeline = fit_reduction_pipeline(
         [(cube, labels)],
@@ -242,12 +240,12 @@ def _cmd_reduce(args) -> int:
     out = _out_dir(args.out)
     (out / "pipeline.json").write_text(pipeline.to_json())
     print(f"wrote {out / 'pipeline.json'}")
-    for path in options.get("apply", ()):
+    for name, path in outputs.items():
         src_cube, src_labels = read_cube(path)
         reduced = project(src_cube, pipeline.stats, pipeline.projection)
         # Reduced channels have no physical wavelengths; store component indices.
         reduced_cube = Hypercube(reduced, np.arange(1.0, num_filters + 1.0))
-        dest = out / (Path(path).stem + ".reduced.hypc")
+        dest = out / name
         write_cube(reduced_cube, src_labels, dest)
         print(f"wrote {dest}")
     return 0

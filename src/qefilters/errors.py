@@ -2,8 +2,9 @@
 
 The CLI maps these onto exit codes: usage problems exit 1, data and
 configuration problems exit 2, training divergence exits 3.
-``config_value`` and ``config_values`` turn a bad value in a JSON
-configuration document into a ConfigurationError that names its key.
+``check_keys``, ``config_value`` and ``config_values`` turn an unknown key
+or a bad value in a JSON configuration document into a ConfigurationError
+that names the key.
 """
 
 
@@ -37,21 +38,41 @@ class TrainingDivergedError(QEFiltersError):
 
 _REQUIRED = object()
 
+# The JSON values a key of kind int, float or str takes. bool, JSON's true
+# and false, is an int subclass in Python but no number here.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def check_keys(doc, known, where: str) -> None:
+    """Reject a ``doc`` that is not an object or has a key outside ``known``, such as a misspelt one."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigurationError(f"{where} has unknown keys {', '.join(map(repr, unknown))}")
+
 
 def config_value(doc: dict, key: str, kind, where: str, default=_REQUIRED):
     """``kind(doc[key])``, or ``default`` when given and the key is absent.
 
     A missing required key, or a value ``kind`` rejects, is a
-    ConfigurationError that names the key.
+    ConfigurationError that names the key. For ``int``, ``float`` and
+    ``str`` the value must already be a JSON integer, number or string:
+    none is converted from another type.
     """
     if key not in doc:
         if default is not _REQUIRED:
             return default
         raise ConfigurationError(f"{where} is missing required key {key!r}")
+    value = doc[key]
     try:
-        return kind(doc[key])
+        if kind in _JSON_TYPES:
+            types, expected = _JSON_TYPES[kind]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise TypeError(f"expected {expected}")
+        return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{where} key {key!r} has an invalid value {doc[key]!r}: {exc}") from exc
+        raise ConfigurationError(f"{where} key {key!r} has an invalid value {value!r}: {exc}") from exc
 
 
 def config_values(doc: dict, kinds: dict, where: str) -> dict:

@@ -32,8 +32,9 @@ checks it again. :func:`apply_filter_bank` and :func:`backward` read a
 contiguous cube in place and return plain arrays: the (B, F, H, W) reduced
 cube and the (F, P, 4) parameter gradient. The large arrays they allocate
 are their results.
-``Hypercube._checked`` lets the file reader skip the check it has already
-made on the stored values.
+``Hypercube._checked`` lets the file reader, which has already checked the
+stored values, and ``train``'s batch buffer, which holds images of a checked
+cube, skip the check.
 """
 
 from __future__ import annotations
@@ -83,9 +84,11 @@ class Hypercube:
     def _checked(cls, data: np.ndarray, wavelengths_nm: np.ndarray) -> "Hypercube":
         """A cube over arrays that already pass every check of the constructor.
 
-        For a reader that has checked the stored values: ``data`` is a finite
-        float64 (B, C, H, W) array and ``wavelengths_nm`` a finite, strictly
-        increasing float64 vector of length C. Nothing is checked again.
+        For the file reader, which has checked the stored values, and for
+        ``train``'s batch buffer, filled with images of a checked cube:
+        ``data`` is a finite float64 (B, C, H, W) array and ``wavelengths_nm``
+        a finite, strictly increasing float64 vector of length C. Nothing is
+        checked again.
         """
         cube = cls.__new__(cls)
         cube.data, cube.wavelengths_nm = data, wavelengths_nm

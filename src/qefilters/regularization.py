@@ -97,7 +97,7 @@ def dominance_loss(params: FilterBankParams, r_max: float) -> tuple[float, np.nd
             d_star = -a[second] / (a[star] + EPSILON) ** 2 / num_filters
             grad[f, second, AMPLITUDE_LOGIT] += d_second * a[second] * (1.0 - a[second])
             grad[f, star, AMPLITUDE_LOGIT] += d_star * a[star] * (1.0 - a[star])
-    return total / num_filters, grad
+    return float(total) / num_filters, grad
 
 
 def separation_loss(params: FilterBankParams, d_min: float) -> tuple[float, np.ndarray]:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cubeio import LabelMap
-from .errors import ConfigurationError, config_value
+from .errors import ConfigurationError, check_keys, config_value
 from .metrics import IGNORE_LABEL
 from .projection import Hypercube
 from .rng import make_generator
@@ -160,15 +160,28 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+_BUMP_KEYS = ("center_nm", "width_nm", "height")
+
+
+def _bump(doc, where: str) -> SpectralBump:
+    check_keys(doc, _BUMP_KEYS, where)
+    return SpectralBump(*(config_value(doc, key, float, where) for key in _BUMP_KEYS))
+
+
 def spec_from_dict(doc: dict) -> SynthSpec:
     """Build a SynthSpec from the CLI's JSON configuration layout.
 
-    A value of the wrong type is a ConfigurationError that names its key.
+    A value of the wrong type is a ConfigurationError that names its key, as
+    is an unknown key inside ``wavelengths`` or inside a bump. Unknown keys at
+    the top level pass, so one document can also carry gen-synth's image
+    counts.
     """
     where = "synthetic-data config"
     try:
         wl_doc = doc["wavelengths"]
+        grid = f"{where} 'wavelengths'"
         if isinstance(wl_doc, dict) and "preset" in wl_doc:
+            check_keys(wl_doc, ("preset",), grid)
             preset = wl_doc["preset"]
             if preset == "hyko":
                 wl = hyko_like_wavelengths()
@@ -177,7 +190,7 @@ def spec_from_dict(doc: dict) -> SynthSpec:
             else:
                 raise ConfigurationError(f"unknown wavelength preset {preset!r}")
         elif isinstance(wl_doc, dict):
-            grid = f"{where} 'wavelengths'"
+            check_keys(wl_doc, ("start_nm", "end_nm", "channels"), grid)
             wl = np.linspace(
                 config_value(wl_doc, "start_nm", float, grid),
                 config_value(wl_doc, "end_nm", float, grid),
@@ -185,14 +198,7 @@ def spec_from_dict(doc: dict) -> SynthSpec:
             )
         else:
             wl = np.asarray(config_value(doc, "wavelengths", _floats, where))
-        bump = f"{where} 'classes'"
-        classes = tuple(
-            tuple(
-                SpectralBump(*(config_value(b, key, float, bump) for key in ("center_nm", "width_nm", "height")))
-                for b in bumps
-            )
-            for bumps in doc["classes"]
-        )
+        classes = tuple(tuple(_bump(b, f"{where} 'classes'") for b in bumps) for bumps in doc["classes"])
         return SynthSpec(
             class_bumps=classes,
             planted_centers_nm=config_value(doc, "planted_centers_nm", _floats, where, ()),

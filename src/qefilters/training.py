@@ -22,21 +22,23 @@ so identical configs and data reproduce runs bit-for-bit under any thread
 count.
 
 Validation and allocation happen at fixed places. A cube is checked once,
-when it is built or read. ``train`` allocates one batch buffer, wrapped once
-in a ``Hypercube`` of zeros, and each step copies its images into it without
-checking them again. A step allocates its activations and, in the loss,
-one softmax array per term, which the term turns into its gradient in place
-by gathering and scattering at the label (Dice works image by image in one
-image-sized array); the heads add biases and apply ``tanh`` in place. The
-bank and its regularizers are evaluated once at the start and once after
-every optimizer step; the batches up to the next step, the epoch-end mIoU
-passes and the epoch record all reuse that evaluation.
+when it is built or read. ``train`` allocates one data buffer and one label
+buffer for a batch; each step copies its images into them and wraps the
+filled part in ``Hypercube._checked``, which checks nothing again. A step
+allocates its activations and, in the loss, one softmax array per term,
+which the term turns into its gradient in place by gathering and scattering
+at the label (Dice works image by image in one image-sized array); the
+heads add biases and apply ``tanh`` in place. The bank and its regularizers
+are evaluated once at the start and once after every optimizer step; the
+batches up to the next step, the epoch-end mIoU passes and the epoch record
+all reuse that evaluation.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -70,10 +72,6 @@ class LinearHead:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
 
-    def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        self.weight = params["weight"].copy()
-        self.bias = params["bias"].copy()
-
     def forward(self, feats: np.ndarray):
         logits = _contract_channels(self.weight, feats)
         logits += self.bias[None, :, None, None]
@@ -105,12 +103,6 @@ class MlpHead:
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        self.w1 = params["w1"].copy()
-        self.b1 = params["b1"].copy()
-        self.w2 = params["w2"].copy()
-        self.b2 = params["b2"].copy()
 
     def forward(self, feats: np.ndarray):
         hidden = _contract_channels(self.w1, feats)
@@ -355,6 +347,10 @@ class TrainConfig:
             )
 
 
+# The epochs.csv header and the report.json record keys, in EpochRecord field order.
+_EPOCH_COLUMNS = ("epoch", "seg_loss", "L_dom", "L_sep", "L_bw", "train_miou", "val_miou")
+
+
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
@@ -374,8 +370,7 @@ class TrainReport:
     best_epoch: int
     best_val_miou: float
     params: FilterBankParams  # best-epoch snapshot
-    head_kind: str
-    head_state: dict[str, np.ndarray]  # best-epoch snapshot
+    head: LinearHead | MlpHead  # best-epoch snapshot
     centroid_history: np.ndarray  # (epochs, F, P)
     num_classes: int
     stopped_early: bool
@@ -387,20 +382,15 @@ class TrainReport:
         return int(np.count_nonzero(outside.any(axis=(1, 2))))
 
     def epochs_csv(self) -> str:
-        lines = ["epoch,seg_loss,L_dom,L_sep,L_bw,train_miou,val_miou"]
-        for r in self.records:
-            lines.append(
-                f"{r.epoch},{r.seg_loss!r},{r.dominance!r},{r.separation!r},"
-                f"{r.bandwidth!r},{r.train_miou!r},{r.val_miou!r}"
-            )
+        lines = [",".join(_EPOCH_COLUMNS)]
+        lines += [",".join(map(repr, astuple(r))) for r in self.records]
         return "\n".join(lines) + "\n"
 
     def centroids_csv(self) -> str:
         lines = ["epoch,filter,peak,centroid"]
-        for e, snapshot in enumerate(self.centroid_history, start=1):
-            for f in range(snapshot.shape[0]):
-                for p in range(snapshot.shape[1]):
-                    lines.append(f"{e},{f},{p},{snapshot[f, p]!r}")
+        for e, snapshot in enumerate(self.centroid_history.tolist(), start=1):
+            for f, centroids in enumerate(snapshot):
+                lines += [f"{e},{f},{p},{c!r}" for p, c in enumerate(centroids)]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -411,20 +401,9 @@ class TrainReport:
             "stopped_early": self.stopped_early,
             "num_classes": self.num_classes,
             "centroid_out_of_range_epochs": self.centroid_out_of_range_epochs,
-            "head": self.head_kind,
+            "head": self.head.kind,
             "filters": self.params.to_json_dict(),
-            "records": [
-                {
-                    "epoch": r.epoch,
-                    "seg_loss": r.seg_loss,
-                    "L_dom": r.dominance,
-                    "L_sep": r.separation,
-                    "L_bw": r.bandwidth,
-                    "train_miou": r.train_miou,
-                    "val_miou": r.val_miou,
-                }
-                for r in self.records
-            ],
+            "records": [dict(zip(_EPOCH_COLUMNS, astuple(r))) for r in self.records],
         }
 
     def to_json(self) -> str:
@@ -458,36 +437,6 @@ def _miou(response, head, cube, labels, num_classes) -> float:
     pred = _predict(response, head, cube)
     cm = ConfusionMatrix(num_classes).accumulate(pred, labels)
     return compute_metrics(cm).miou
-
-
-class _BatchBuffer:
-    """Copies the images of each batch into one buffer that training reuses.
-
-    The buffer becomes a ``Hypercube`` once, over zeros, so a step neither
-    allocates its batch nor checks it for finiteness: the images come from a
-    cube that was checked when it was built.
-    """
-
-    def __init__(self, cube: Hypercube, labels: np.ndarray, batch: int):
-        self._source = cube.data, labels
-        self._full = Hypercube(np.zeros((batch,) + cube.dims[1:]), cube.wavelengths_nm)
-        self._cubes = {batch: self._full}
-        self._labels = np.zeros((batch,) + labels.shape[1:], dtype=labels.dtype)
-
-    def load(self, idx: np.ndarray) -> tuple[Hypercube, np.ndarray]:
-        """The images ``idx`` of the split, as views of the buffer."""
-        count = len(idx)
-        if count not in self._cubes:  # the last, shorter batch of an epoch
-            self._cubes[count] = Hypercube(self._full.data[:count], self._full.wavelengths_nm)
-        cube, labels = self._cubes[count], self._labels[:count]
-        data, values = self._source
-        # mode="clip" lets np.take write straight into ``out``, where the
-        # default mode="raise" goes through a temporary copy; ``idx`` indexes
-        # the split's own images, and ``train`` checks that the labels hold
-        # as many images as the cube.
-        np.take(data, idx, axis=0, out=cube.data, mode="clip")
-        np.take(values, idx, axis=0, out=labels, mode="clip")
-        return cube, labels
 
 
 def _bank_state(bank, lam_norm, reg):
@@ -580,14 +529,15 @@ def train(
 
     num_images = train_cube.dims[0]
     batch = min(config.batch_size, num_images)
-    batches = _BatchBuffer(train_cube, train_labels, batch)
+    data_buffer = np.empty((batch,) + train_cube.dims[1:])
+    label_buffer = np.empty((batch,) + train_labels.shape[1:], dtype=train_labels.dtype)
 
     records: list[EpochRecord] = []
     centroid_history = []
     best_epoch = 0
     best_val = -np.inf
     best_bank = bank.copy()
-    best_head = {k: p.copy() for k, p in head.parameters().items()}
+    best_head = copy.deepcopy(head)
     since_improvement = 0
     stopped_early = False
     response, reg_losses, reg_grad = _bank_state(bank, lam_norm, config.reg)
@@ -597,7 +547,14 @@ def train(
         epoch_seg = []
         pending, count = None, 0
         for start in range(0, num_images, batch):
-            batch_cube, batch_labels = batches.load(order[start : start + batch])
+            idx = order[start : start + batch]
+            batch_data, batch_labels = data_buffer[: len(idx)], label_buffer[: len(idx)]
+            # mode="clip" lets np.take write straight into ``out``, where the
+            # default mode="raise" goes through a temporary copy; ``idx``
+            # indexes the split's own images.
+            np.take(train_cube.data, idx, axis=0, out=batch_data, mode="clip")
+            np.take(train_labels, idx, axis=0, out=batch_labels, mode="clip")
+            batch_cube = Hypercube._checked(batch_data, wl)
             seg, grads = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, epoch)
             epoch_seg.append(seg)
             pending = grads if pending is None else [p + g for p, g in zip(pending, grads)]
@@ -631,7 +588,7 @@ def train(
             best_val = val_miou
             best_epoch = epoch
             best_bank = bank.copy()
-            best_head = {k: p.copy() for k, p in head.parameters().items()}
+            best_head = copy.deepcopy(head)
             since_improvement = 0
         else:
             since_improvement += 1
@@ -644,8 +601,7 @@ def train(
         best_epoch=best_epoch,
         best_val_miou=float(best_val),
         params=best_bank,
-        head_kind=config.head,
-        head_state=best_head,
+        head=best_head,
         centroid_history=np.array(centroid_history),
         num_classes=num_classes,
         stopped_early=stopped_early,
@@ -656,7 +612,4 @@ def predict(report: TrainReport, cube: Hypercube) -> np.ndarray:
     """Per-pixel class predictions of a report's best snapshot on a cube."""
     bank = report.params
     lam_norm = normalize_wavelengths(cube.wavelengths_nm, bank.range)
-    head = make_head(report.head_kind, report.num_classes, bank.num_filters, make_generator(0))
-    # set_parameters replaces every array, so the state fixes the hidden width.
-    head.set_parameters(report.head_state)
-    return _predict(evaluate_filter_bank(bank, lam_norm), head, cube)
+    return _predict(evaluate_filter_bank(bank, lam_norm), report.head, cube)

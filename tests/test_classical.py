@@ -5,10 +5,10 @@ from qefilters import (
     BandStats,
     ConfigurationError,
     DataError,
+    DimensionMismatchError,
     Hypercube,
     LinearProjection,
     ReductionPipeline,
-    apply_band_stats,
     fit_band_stats,
     fit_nmf,
     fit_pca,
@@ -16,7 +16,7 @@ from qefilters import (
     project,
     stratified_sample,
 )
-from qefilters.classical import PixelSample, standardize_sample
+from qefilters.classical import PixelSample, _standardize
 
 
 def labeled_cube(seed, images, h, w, channels=6, num_classes=3):
@@ -119,7 +119,7 @@ class TestBandStats:
         sample = PixelSample(matrix, np.zeros(10, dtype=int), np.array([10]))
         stats = fit_band_stats(sample)
         assert stats.std[0] == 1e-8
-        standardized = standardize_sample(sample, stats)
+        standardized = _standardize(sample.matrix, stats)
         assert np.all(standardized[:, 0] == 0.0)
 
     def test_self_standardization(self):
@@ -127,7 +127,7 @@ class TestBandStats:
         matrix = rng.normal(3.0, 2.0, (500, 4))
         sample = PixelSample(matrix, np.zeros(500, dtype=int), np.array([500]))
         stats = fit_band_stats(sample)
-        z = standardize_sample(sample, stats)
+        z = _standardize(sample.matrix, stats)
         assert np.all(np.abs(z.mean(axis=0)) < 1e-6)
         assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-6)
 
@@ -138,8 +138,9 @@ class TestBandStats:
         sample_a = PixelSample(matrix_a, np.zeros(200, dtype=int), np.array([200]))
         stats = fit_band_stats(sample_a)
         cube_b = Hypercube(matrix_b.T.reshape(1, 3, 10, 20), [500.0, 510.0, 520.0])
-        standardized = apply_band_stats(cube_b, stats)
-        band_means = standardized.data.mean(axis=(0, 2, 3))
+        identity = LinearProjection(kind="pca", components=np.eye(3))
+        standardized = project(cube_b, stats, identity)
+        band_means = standardized.mean(axis=(0, 2, 3))
         assert np.all(np.abs(band_means) > 1.0)  # split B means stay far from 0
 
 
@@ -276,6 +277,12 @@ class TestProject:
             z = (cube.data[b, :, h, w] - stats.mean) / stats.std + shift
             for f in range(2):
                 assert out[b, f, h, w] == pytest.approx(float(comps[f] @ z), rel=1e-12)
+
+    def test_stats_of_another_band_count_rejected(self):
+        cube, _ = labeled_cube(20, 1, 2, 2, channels=4)
+        stats = BandStats(mean=np.zeros(3), std=np.ones(3))
+        with pytest.raises(DimensionMismatchError, match="stats cover 3 bands"):
+            project(cube, stats, LinearProjection(kind="pca", components=np.eye(4)))
 
 
 class TestPipeline:

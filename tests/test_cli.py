@@ -100,6 +100,12 @@ class TestTrainCommand:
         assert report["epochs_run"] == 6
         bank = FilterBankParams.from_json((out / "filters.json").read_text())
         assert bank.num_parameters == 4
+        # Both CSVs hold plain numbers: the epoch rows are the report's records.
+        header, *rows = list(csv.reader(io.StringIO((out / "epochs.csv").read_text())))
+        assert [dict(zip(header, [int(row[0]), *map(float, row[1:])])) for row in rows] == report["records"]
+        header, *rows = list(csv.reader(io.StringIO((out / "centroids.csv").read_text())))
+        assert header == ["epoch", "filter", "peak", "centroid"]
+        assert [[*map(int, row[:3]), 0 <= float(row[3]) <= 1] for row in rows] == [[e, 0, 0, True] for e in range(1, 7)]
 
     def test_deterministic_outputs(self, tmp_path):
         config = synth_config(tmp_path)
@@ -245,6 +251,26 @@ class TestReduceCommand:
         assert "num_components" in capsys.readouterr().err
         assert not (out / "pipeline.json").exists()
 
+    def test_apply_entries_of_one_output_name_write_nothing(self, tmp_path, capsys):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        sources = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            sources.append(tmp_path / name / "x.hypc")
+            sources[-1].write_bytes((data_dir / "val.hypc").read_bytes())
+        doc = {"method": "pca", "num_filters": 2, "train_data": str(data_dir / "train.hypc"),
+               "apply": [str(path) for path in sources]}
+        path = tmp_path / "reduce.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "red"
+        assert cli(["reduce", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(sources[0]) in err and str(sources[1]) in err
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_identical_labels_print_100(self, tmp_path, capsys):
@@ -366,6 +392,12 @@ class TestExitCodes:
             pytest.param({"wavelengths": {"start_nm": 470, "end_nm": "far", "channels": 15}}, "end_nm",
                          id="wavelengths.end_nm"),
             pytest.param({"blobs_per_image": [4]}, "blobs_per_image", id="blobs_per_image"),
+            pytest.param({"train_images": 4.8}, "train_images", id="train_images-float"),
+            pytest.param({"height": 12.5}, "height", id="height-float"),
+            pytest.param({"wavelengths": {"start_nm": 470, "end_nm": 630, "channels": 15.0}}, "channels",
+                         id="wavelengths.channels-float"),
+            pytest.param({"noise_sigma": True}, "noise_sigma", id="noise_sigma-bool"),
+            pytest.param({"seed": "3"}, "seed", id="seed-string"),
         ],
     )
     def test_gen_synth_spec_value_of_wrong_type(self, tmp_path, capsys, setting, key):
@@ -383,6 +415,15 @@ class TestExitCodes:
             pytest.param({"reg": {"enabled": 5}}, "enabled", id="reg.enabled"),
             pytest.param({"reg": {"enabled": "dominance"}}, "enabled", id="reg.enabled-string"),
             pytest.param({"class_weights": "uniform"}, "class_weights", id="class_weights"),
+            pytest.param({"num_filters": 2.9}, "num_filters", id="num_filters-float"),
+            pytest.param({"peaks_per_filter": 1.5}, "peaks_per_filter", id="peaks_per_filter-float"),
+            pytest.param({"max_epochs": 2.7}, "max_epochs", id="max_epochs-float"),
+            pytest.param({"seed": 3.9}, "seed", id="seed-float"),
+            pytest.param({"batch_size": True}, "batch_size", id="batch_size-bool"),
+            pytest.param({"learning_rate": True}, "learning_rate", id="learning_rate-bool"),
+            pytest.param({"learning_rate": "0.1"}, "learning_rate", id="learning_rate-numeric-string"),
+            pytest.param({"train_data": 5}, "train_data", id="train_data-number"),
+            pytest.param({"reg": {"d_min": False}}, "d_min", id="reg.d_min-bool"),
         ],
     )
     def test_train_config_value_of_wrong_type(self, tmp_path, capsys, setting, key):
@@ -456,13 +497,25 @@ class TestExitCodes:
         assert "'target_sample'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_gen_synth_config_unknown_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            pytest.param({"noise": 0.1}, "noise", id="top-level"),
+            pytest.param({"wavelengths": {"preset": "hyko", "channels": 40}}, "channels", id="wavelengths.preset"),
+            pytest.param({"wavelengths": {"start_nm": 470, "end_nm": 630, "channels": 15, "step": 2}}, "step",
+                         id="wavelengths.grid"),
+            pytest.param({"classes": [[{"center_nm": 550, "width_nm": 100, "height": 0.4}],
+                                      [{"center_nm": 550, "width_nm": 100, "height": 0.4, "heigth": 0.3}]]},
+                         "heigth", id="classes.bump"),
+        ],
+    )
+    def test_gen_synth_config_unknown_key(self, tmp_path, capsys, setting, key):
         doc = json.loads(synth_config(tmp_path).read_text())
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(dict(doc, noise=0.1)))
+        path.write_text(json.dumps(dict(doc, **setting)))
         out = tmp_path / "data"
         assert cli(["gen-synth", "--config", str(path), "--out", str(out)]) == 2
-        assert "'noise'" in capsys.readouterr().err
+        assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [5, "val.hypc", ["val.hypc", 3]], ids=["number", "string", "mixed-list"])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ from qefilters.filterbank import FilterBankParams, WavelengthRange
 from qefilters.metrics import IGNORE_LABEL
 from qefilters.projection import _contract_channels, apply_filter_bank
 from qefilters.regularization import total_reg
-from qefilters.training import AdamW, _argmax_classes, _bank_state, _batch_gradients, _BatchBuffer, make_head
+from qefilters import training
+from qefilters.training import AdamW, _argmax_classes, _bank_state, _batch_gradients, make_head
 from qefilters.rng import make_generator
 
 from oracles import adam_step, blocked_pixel_reduction, dense_soft_dice, dense_weighted_cross_entropy
@@ -347,28 +349,33 @@ class TestEndToEndGradient:
         assert current_loss(bank) < initial
 
 
-class TestBatchBuffer:
-    def test_remainder_batch_gives_the_gradients_of_a_fresh_copy(self):
-        # 5 images in batches of 2: the epoch's last batch holds one image and
-        # is loaded into a buffer that still holds the batch before it.
+class TestBatchLoading:
+    def test_each_batch_holds_its_images_in_the_epoch_order(self, monkeypatch):
+        # 5 images in batches of 2: each epoch's last batch holds one image and
+        # is loaded into buffers that still hold the batch before it.
         cube, labels = tiny_dataset(seed=13, images=5)
-        lam = normalize_wavelengths(cube.wavelengths_nm, HYKO)
-        bank = init_filter_bank(2, 1, HYKO, seed=3)
-        head = make_head("mlp", 2, 2, make_generator(7))
-        weights = np.array([0.7, 1.3])
-        reg = RegConfig()
-        response, _, reg_grad = _bank_state(bank, lam, reg)
-        batches = _BatchBuffer(cube, labels, 2)
-        for idx in (np.array([4, 1]), np.array([0, 3]), np.array([2])):
-            batch_cube, batch_labels = batches.load(idx)
-            assert batch_cube.dims == (len(idx),) + cube.dims[1:]
-            got = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, 1)
-            fresh = Hypercube(cube.data[idx], cube.wavelengths_nm)
-            want = _batch_gradients(head, response, reg_grad, fresh, labels[idx], weights, 1)
-            assert got[0] == want[0]
-            assert len(got[1]) == len(want[1]) == 5
-            for i, grad in enumerate(want[1]):
-                assert got[1][i].tobytes() == grad.tobytes(), i
+        seen = []
+
+        def recorded(head, response, reg_grad, batch_cube, batch_labels, *rest):
+            seen.append((batch_cube.data.copy(), batch_labels.copy()))
+            return batch_gradients(head, response, reg_grad, batch_cube, batch_labels, *rest)
+
+        batch_gradients = training._batch_gradients
+        monkeypatch.setattr(training, "_batch_gradients", recorded)
+        config = TrainConfig(learning_rate=1e-2, max_epochs=2, patience=2, batch_size=2, seed=4)
+        train((cube, labels), (cube, labels), 2, 1, config)
+
+        shuffle = make_generator(config.seed, 2)
+        expected = []
+        for _ in range(config.max_epochs):
+            order = shuffle.permutation(5)
+            expected += [order[start : start + 2] for start in range(0, 5, 2)]
+        assert [len(idx) for idx in expected] == [2, 2, 1, 2, 2, 1]
+        assert len(seen) == len(expected)
+        for (data, values), idx in zip(seen, expected):
+            assert data.shape == cube.data[idx].shape
+            assert data.tobytes() == cube.data[idx].tobytes()
+            assert np.array_equal(values, labels[idx])
 
 
 class TestMlpHead:
@@ -379,8 +386,12 @@ class TestMlpHead:
         labels = rng.integers(0, 3, (1, 3, 3))
         weights = np.ones(3)
 
+        def set_arrays(params):
+            for name, value in params.items():
+                setattr(head, name, value)
+
         def loss_with(params):
-            head.set_parameters(params)
+            set_arrays(params)
             logits, _ = head.forward(feats)
             return seg_loss(logits, labels, weights)[0]
 
@@ -399,7 +410,7 @@ class TestMlpHead:
                 fd = (loss_with(plus) - loss_with(minus)) / (2 * step)
                 assert grads[name].reshape(-1)[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
         # feature gradient too
-        head.set_parameters(base)
+        set_arrays(base)
         idx = (0, 1, 2, 0)
         plus = feats.copy()
         plus[idx] += step
@@ -589,6 +600,20 @@ class TestTrainLoop:
         assert report.centroids_csv().splitlines()[0] == "epoch,filter,peak,centroid"
         assert len(report.centroid_history) == len(report.records)
 
+    def test_report_csvs_hold_plain_numbers(self):
+        # 3 filters of 3 peaks, so the dominance penalty is active.
+        (tr_cube, tr_lab), (va_cube, va_lab) = planted3_data()
+        config = replace(planted3_config(seed=0), max_epochs=3, patience=3)
+        report = train((tr_cube, tr_lab.values), (va_cube, va_lab.values), 3, 3, config)
+        assert all(r.dominance > 0 for r in report.records)
+        rows = [line.split(",") for line in report.epochs_csv().splitlines()[1:]]
+        assert [[int(row[0]), *map(float, row[1:])] for row in rows] == [list(astuple(r)) for r in report.records]
+        rows = [line.split(",") for line in report.centroids_csv().splitlines()[1:]]
+        history = report.centroid_history
+        assert [[*map(int, row[:3]), float(row[3])] for row in rows] == [
+            [e + 1, f, p, history[e, f, p]] for e, f, p in np.ndindex(history.shape)
+        ]
+
     def test_gradient_accumulation_runs(self):
         cube, labels = tiny_dataset(seed=11, images=8)
         config = TrainConfig(
@@ -664,7 +689,19 @@ class TestTrainLoop:
             head="mlp", head_hidden=16,
         )
         report = train((cube, labels), (val_cube, val_labels), 1, 1, config)
-        assert report.head_state["w1"].shape == (16, 1)
+        assert report.head.w1.shape == (16, 1)
+        cm = ConfusionMatrix(report.num_classes).accumulate(predict(report, val_cube), val_labels)
+        assert compute_metrics(cm).miou == report.best_val_miou
+
+    @pytest.mark.parametrize("head", ["linear", "mlp"])
+    def test_predict_uses_the_best_epoch_head(self, head):
+        # Noisy data and a large step: the best epoch comes before the last,
+        # so a head that kept training would predict differently.
+        cube, labels = tiny_dataset(seed=6, images=8, noise=0.3)
+        val_cube, val_labels = tiny_dataset(seed=7, images=4, noise=0.3)
+        config = TrainConfig(learning_rate=0.05, max_epochs=10, patience=10, batch_size=4, seed=3, head=head)
+        report = train((cube, labels), (val_cube, val_labels), 1, 1, config)
+        assert report.best_epoch < len(report.records)
         cm = ConfusionMatrix(report.num_classes).accumulate(predict(report, val_cube), val_labels)
         assert compute_metrics(cm).miou == report.best_val_miou
 
