@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DimensionMismatchError
-from .metrics import IGNORE_LABEL
+from .metrics import IGNORE_LABEL, _check_integer_labels
 from .projection import Hypercube
 from .rng import make_generator
 
@@ -90,6 +90,8 @@ def stratified_sample(
     if not cubes:
         raise DataError("no cubes to sample from")
     all_labels = [np.asarray(labels) for _, labels in cubes]
+    for lab in all_labels:
+        _check_integer_labels(lab)
     labeled = [lab[lab != IGNORE_LABEL] for lab in all_labels]
     if not any(lab.size for lab in labeled):
         raise DataError("no labeled pixels in any cube")

@@ -139,10 +139,6 @@ def _cmd_gen_synth(args) -> int:
     return 0
 
 
-def _class_weights(value) -> str | tuple[float, ...]:
-    return value if isinstance(value, str) else tuple(float(v) for v in value)
-
-
 def _reg_config(doc) -> RegConfig:
     _, options = _read_config(doc, {}, _REG_KEYS, "train config 'reg'")
     return RegConfig(**options)
@@ -157,18 +153,12 @@ _TRAIN_KEYS = {
     "patience": int,
     "batch_size": int,
     "seed": int,
-    "class_weights": _class_weights,
-    "accumulate_steps": int,
     "head": str,
     "head_hidden": int,
-    "head_weight_decay": float,
     "reg": _reg_config,
 }
 _REG_KEYS = {
-    "r_max": float,
     "d_min": float,
-    "beta_min": float,
-    "beta_max": float,
     "lambda_reg": float,
     "enabled": _strings,
 }

@@ -4,7 +4,8 @@ The CLI maps these onto exit codes: usage problems exit 1, data and
 configuration problems exit 2, training divergence exits 3.
 ``check_keys``, ``config_value`` and ``config_values`` turn an unknown key
 or a bad value in a JSON configuration document into a ConfigurationError
-that names the key.
+that names the key; ``json_typed`` holds a value, or a list entry, to the
+same JSON type rule.
 """
 
 
@@ -66,13 +67,17 @@ def config_value(doc: dict, key: str, kind, where: str, default=_REQUIRED):
         raise ConfigurationError(f"{where} is missing required key {key!r}")
     value = doc[key]
     try:
-        if kind in _JSON_TYPES:
-            types, expected = _JSON_TYPES[kind]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise TypeError(f"expected {expected}")
-        return kind(value)
+        return kind(json_typed(value, kind) if kind in _JSON_TYPES else value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{where} key {key!r} has an invalid value {value!r}: {exc}") from exc
+
+
+def json_typed(value, kind):
+    """``value`` itself if it is a JSON value of ``kind`` (int, float or str), else a TypeError."""
+    types, expected = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"expected {expected}")
+    return value
 
 
 def config_values(doc: dict, kinds: dict, where: str) -> dict:

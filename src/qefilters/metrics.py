@@ -17,6 +17,18 @@ from .errors import DataError
 IGNORE_LABEL = 65535  # the library's one unlabeled value; the CLI maps each file's to it
 
 
+def _check_integer_labels(labels: np.ndarray) -> None:
+    """Raise ``DataError`` naming the first label that is not a whole number.
+
+    Integer and boolean arrays can hold nothing else, so their values go unread.
+    """
+    if labels.dtype.kind in "biu":
+        return
+    bad = (labels != np.floor(labels)) | np.isinf(labels)  # NaN differs from itself
+    if bad.any():
+        raise DataError(f"label {labels[bad][0]} is not an integer")
+
+
 class ConfusionMatrix:
     """K x K integer counts; pixels labelled ``IGNORE_LABEL`` are never counted."""
 
@@ -32,6 +44,7 @@ class ConfusionMatrix:
         truth = np.asarray(labels)
         if pred.shape != truth.shape:
             raise DataError(f"prediction shape {pred.shape} does not match labels {truth.shape}")
+        _check_integer_labels(truth)
         mask = truth != IGNORE_LABEL
         pred = pred[mask].astype(np.int64)
         truth = truth[mask].astype(np.int64)

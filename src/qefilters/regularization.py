@@ -21,33 +21,29 @@ from .filterbank import AMPLITUDE_LOGIT, CENTROID, EPSILON, LOG_BANDWIDTH, Filte
 
 REG_COMPONENTS = ("dominance", "separation", "bandwidth")
 
+# The dominance and bandwidth thresholds ``total_reg`` applies: a secondary
+# peak may reach R_MAX of the dominant one, a dominant bandwidth [BETA_MIN, BETA_MAX].
+R_MAX, BETA_MIN, BETA_MAX = 0.3, 0.03, 0.25
+
 
 @dataclass(frozen=True)
 class RegConfig:
-    """Hyperparameters of the regularizers and the objective weight.
+    """The separation threshold, the objective weight and the enabled terms.
 
     ``d_min`` has no canonical value; 0.1 on the normalized axis keeps up to
     seven filters placeable while still forcing diversity. ``enabled`` exists
     for component-ablation studies; disabling a term zeroes exactly that term
-    and its gradient.
+    and its gradient. The dominance and bandwidth thresholds are the module
+    constants ``R_MAX``, ``BETA_MIN`` and ``BETA_MAX``.
     """
 
-    r_max: float = 0.3
     d_min: float = 0.1
-    beta_min: float = 0.03
-    beta_max: float = 0.25
     lambda_reg: float = 0.1
     enabled: tuple[str, ...] = REG_COMPONENTS
 
     def __post_init__(self):
-        if not 0.0 < self.r_max < 1.0:
-            raise ConfigurationError(f"r_max must lie in (0, 1), got {self.r_max}")
         if not 0.0 <= self.d_min < 1.0:
             raise ConfigurationError(f"d_min must lie in [0, 1), got {self.d_min}")
-        if not 0.0 < self.beta_min < self.beta_max:
-            raise ConfigurationError(
-                f"need 0 < beta_min < beta_max, got ({self.beta_min}, {self.beta_max})"
-            )
         if not 0.0 <= self.lambda_reg < np.inf:
             raise ConfigurationError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
         unknown = set(self.enabled) - set(REG_COMPONENTS)
@@ -151,12 +147,12 @@ def total_reg(params: FilterBankParams, config: RegConfig) -> tuple[RegLosses, n
     grad = np.zeros_like(params.table)
     dom = sep = bw = 0.0
     if "dominance" in config.enabled:
-        dom, g = dominance_loss(params, config.r_max)
+        dom, g = dominance_loss(params, R_MAX)
         grad += g
     if "separation" in config.enabled:
         sep, g = separation_loss(params, config.d_min)
         grad += g
     if "bandwidth" in config.enabled:
-        bw, g = bandwidth_loss(params, config.beta_min, config.beta_max)
+        bw, g = bandwidth_loss(params, BETA_MIN, BETA_MAX)
         grad += g
     return RegLosses(dom, sep, bw), grad

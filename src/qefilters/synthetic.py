@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cubeio import LabelMap
-from .errors import ConfigurationError, check_keys, config_value
+from .errors import ConfigurationError, check_keys, config_value, json_typed
 from .metrics import IGNORE_LABEL
 from .projection import Hypercube
 from .rng import make_generator
@@ -157,7 +157,7 @@ def gen_synthetic(spec: SynthSpec) -> tuple[Hypercube, LabelMap]:
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(float(json_typed(v, float)) for v in values)
 
 
 _BUMP_KEYS = ("center_nm", "width_nm", "height")

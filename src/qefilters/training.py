@@ -6,12 +6,12 @@ network. It preserves the exact gradient path from the objective through the
 spectral integration back to all bank parameters while keeping the package
 dependency-free.
 
-The objective is class-weighted cross-entropy plus soft Dice, plus the
-weighted regularization total. Optimization is AdamW with decoupled weight
-decay over ``[bank.table, *head.parameters().values()]``, updated in place;
-the bank table takes no decay (its derived quantities are bounded by
-construction), head arrays default to 1e-2. A step applies the mean gradient
-of ``accumulate_steps`` batches, or of those pending at an epoch's end.
+The objective is cross-entropy weighted by inverse class frequency, plus
+soft Dice, plus the weighted regularization total. Optimization is AdamW
+with decoupled weight decay over ``[bank.table, *head.parameters().values()]``,
+updated in place, one step per batch; the bank table takes no decay (its
+derived quantities are bounded by construction), head arrays 1e-2, the AdamW
+default.
 
 The training loop itself is single-threaded. Head contractions over the
 feature axis are one BLAS GEMM per image (``projection._contract_channels``);
@@ -30,8 +30,8 @@ which the term turns into its gradient in place by gathering and scattering
 at the label (Dice works image by image in one image-sized array); the
 heads add biases and apply ``tanh`` in place. The bank and its regularizers
 are evaluated once at the start and once after every optimizer step; the
-batches up to the next step, the epoch-end mIoU passes and the epoch record
-all reuse that evaluation.
+next batch, the epoch-end mIoU passes and the epoch record all reuse that
+evaluation.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .filterbank import (
     init_filter_bank,
     normalize_wavelengths,
 )
-from .metrics import IGNORE_LABEL, ConfusionMatrix, compute_metrics
+from .metrics import IGNORE_LABEL, ConfusionMatrix, _check_integer_labels, compute_metrics
 from .projection import Hypercube, _contract_channels, _reduce_pixels, apply_filter_bank, backward
 from .regularization import RegConfig, total_reg
 from .rng import make_generator
@@ -154,9 +154,11 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.
     Returns the class index of every pixel, 0 on unlabeled ones (those equal
     to ``IGNORE_LABEL``), and the mask of labelled pixels. Class 0 is a real
     class, so callers weight by the mask rather than trust the index.
-    Raises ``DataError`` for any other label outside [0, K).
+    Raises ``DataError`` for a label that is not an integer, and for any
+    other label outside [0, K).
     """
     labels = np.asarray(labels)
+    _check_integer_labels(labels)
     mask = labels != IGNORE_LABEL
     target = np.where(mask, labels, 0).astype(np.intp, copy=False)
     if target.size and (target.min() < 0 or target.max() >= num_classes):
@@ -259,10 +261,12 @@ def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarra
     """Per-class weights proportional to inverse pixel frequency, mean 1.
 
     Counts are floored at one pixel so classes absent from the split stay
-    finite; they never contribute to the loss anyway.
+    finite; they never contribute to the loss anyway. A label that is not
+    an integer is a ``DataError``.
     """
-    mask = np.asarray(labels) != IGNORE_LABEL
-    vals = np.asarray(labels)[mask].astype(np.int64)
+    labels = np.asarray(labels)
+    _check_integer_labels(labels)
+    vals = labels[labels != IGNORE_LABEL].astype(np.int64)
     counts = np.bincount(vals, minlength=num_classes).astype(float)
     counts = np.maximum(counts, 1.0)
     weights = 1.0 / counts
@@ -274,6 +278,7 @@ def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_HEAD_WEIGHT_DECAY = 1e-2  # the bank takes none
 
 
 class AdamW:
@@ -317,34 +322,21 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 42
     reg: RegConfig = field(default_factory=RegConfig)
-    class_weights: str | tuple[float, ...] = "inverse-frequency"
-    accumulate_steps: int = 1
     head: str = "linear"
     head_hidden: int = 8
-    head_weight_decay: float = 1e-2
 
     def __post_init__(self):
         # Written so that NaN fails each check: every comparison with NaN is false.
         if not 0 < self.learning_rate < np.inf:
             raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 <= self.head_weight_decay < np.inf:
-            raise ConfigurationError(f"head_weight_decay must be finite and >= 0, got {self.head_weight_decay}")
         if self.head_hidden < 1:
             raise ConfigurationError(f"head_hidden must be >= 1, got {self.head_hidden}")
         if self.max_epochs < 1:
             raise ConfigurationError("max_epochs must be >= 1")
         if not 1 <= self.patience <= self.max_epochs:
             raise ConfigurationError("patience must lie in [1, max_epochs]")
-        if self.batch_size < 1 or self.accumulate_steps < 1:
-            raise ConfigurationError("batch_size and accumulate_steps must be >= 1")
-        if isinstance(self.class_weights, str):
-            valid = self.class_weights == "inverse-frequency"
-        else:
-            valid = all(0 <= w < np.inf for w in self.class_weights)
-        if not valid:
-            raise ConfigurationError(
-                f"class_weights must be 'inverse-frequency' or finite weights >= 0, got {self.class_weights!r}"
-            )
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
 
 
 # The epochs.csv header and the report.json record keys, in EpochRecord field order.
@@ -514,17 +506,9 @@ def train(
     )
     shuffle_rng = make_generator(config.seed, 2)
 
-    if config.class_weights == "inverse-frequency":
-        weights = inverse_frequency_weights(train_labels, num_classes)
-    else:
-        weights = np.asarray(config.class_weights, dtype=float)
-        if weights.shape != (num_classes,):
-            raise ConfigurationError(
-                f"class_weights must have {num_classes} entries, got shape {weights.shape}"
-            )
-
+    weights = inverse_frequency_weights(train_labels, num_classes)
     params = [bank.table, *head.parameters().values()]
-    decay = [0.0] + [config.head_weight_decay] * (len(params) - 1)
+    decay = [0.0] + [_HEAD_WEIGHT_DECAY] * (len(params) - 1)
     optimizer = AdamW(params, config.learning_rate, decay)
 
     num_images = train_cube.dims[0]
@@ -545,7 +529,6 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(num_images)
         epoch_seg = []
-        pending, count = None, 0
         for start in range(0, num_images, batch):
             idx = order[start : start + batch]
             batch_data, batch_labels = data_buffer[: len(idx)], label_buffer[: len(idx)]
@@ -557,17 +540,10 @@ def train(
             batch_cube = Hypercube._checked(batch_data, wl)
             seg, grads = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, epoch)
             epoch_seg.append(seg)
-            pending = grads if pending is None else [p + g for p, g in zip(pending, grads)]
-            count += 1
-            # The epoch's last batch closes a step with whatever is pending.
-            if count < config.accumulate_steps and start + batch < num_images:
-                continue
-
-            optimizer.step([g / count for g in pending])
+            optimizer.step(grads)
             if any(not np.all(np.isfinite(p)) for p in params):
                 raise TrainingDivergedError(epoch)
             response, reg_losses, reg_grad = _bank_state(bank, lam_norm, config.reg)
-            pending, count = None, 0
 
         train_miou = _miou(response, head, train_cube, train_labels, num_classes)
         val_miou = _miou(response, head, val_cube, val_labels, num_classes)

@@ -111,6 +111,14 @@ class TestStratifiedSample:
         with pytest.raises(ConfigurationError):
             stratified_sample([(cube, labels)], 2, seed=0)
 
+    def test_non_integer_label(self):
+        # Truncated, 1.7 would count as class 1 and never be drawn.
+        cube, labels = labeled_cube(8, 1, 4, 4, num_classes=1)
+        labels = labels.astype(float)
+        labels[0, 0] = 1.7
+        with pytest.raises(DataError, match="label 1.7 is not an integer"):
+            stratified_sample([(cube, labels)], 20, seed=0)
+
 
 class TestBandStats:
     def test_constant_band_floored(self):

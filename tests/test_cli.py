@@ -398,6 +398,10 @@ class TestExitCodes:
                          id="wavelengths.channels-float"),
             pytest.param({"noise_sigma": True}, "noise_sigma", id="noise_sigma-bool"),
             pytest.param({"seed": "3"}, "seed", id="seed-string"),
+            pytest.param({"planted_centers_nm": ["510"]}, "planted_centers_nm", id="planted_centers_nm-string"),
+            pytest.param({"planted_centers_nm": [510, True]}, "planted_centers_nm", id="planted_centers_nm-bool"),
+            pytest.param({"wavelengths": [470, "480", 630]}, "wavelengths", id="wavelengths-list-string"),
+            pytest.param({"wavelengths": [True, 480, 630]}, "wavelengths", id="wavelengths-list-bool"),
         ],
     )
     def test_gen_synth_spec_value_of_wrong_type(self, tmp_path, capsys, setting, key):
@@ -448,6 +452,8 @@ class TestExitCodes:
         [
             pytest.param({"lerning_rate": 5.0}, "lerning_rate", id="top-level"),
             pytest.param({"reg": {"d_min": 0.1, "epsilon": 1e-6}}, "epsilon", id="reg"),
+            pytest.param({"accumulate_steps": 1}, "accumulate_steps", id="removed-accumulate_steps"),
+            pytest.param({"reg": {"beta_max": 0.25}}, "beta_max", id="removed-reg.beta_max"),
         ],
     )
     def test_train_config_unknown_key(self, tmp_path, capsys, setting, key):

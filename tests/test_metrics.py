@@ -73,6 +73,10 @@ class TestAccumulate:
         with pytest.raises(DataError):
             cm.accumulate(np.array([[5]]), np.array([[0]]))
 
+    def test_non_integer_label_rejected(self):
+        with pytest.raises(DataError, match="label 0.5 is not an integer"):
+            ConfusionMatrix(2).accumulate([0, 1], [0.5, 1.2])
+
 
 class TestComputeMetrics:
     def test_perfect_two_class(self):

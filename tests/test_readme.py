@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from qefilters.cli import _REDUCE_KEYS, _REDUCE_REQUIRED, _read_config, _synth_specs, _train_settings
+from qefilters.cli import (
+    _REDUCE_KEYS,
+    _REDUCE_REQUIRED,
+    _REG_KEYS,
+    _TRAIN_KEYS,
+    _TRAIN_REQUIRED,
+    _read_config,
+    _synth_specs,
+    _train_settings,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +48,12 @@ def test_library_quick_start_runs_with_the_commented_shapes():
 def test_config_block_passes_the_cli_reader(heading, reader):
     # The readers reject a key they do not know, so every documented key must be one.
     reader(json.loads(_block(heading, "json")))
+
+
+def test_train_and_reduce_blocks_set_every_key_the_cli_reads():
+    # With the reader test above, each block sets exactly the keys its command reads.
+    train = json.loads(_block("### train config", "json"))
+    assert set(train) == {*_TRAIN_REQUIRED, *_TRAIN_KEYS}
+    assert set(train["reg"]) == set(_REG_KEYS)
+    reduce = json.loads(_block("### reduce config", "json"))
+    assert set(reduce) == {*_REDUCE_REQUIRED, *_REDUCE_KEYS}

@@ -14,6 +14,7 @@ from qefilters import (
     total_reg,
 )
 from qefilters.errors import ConfigurationError
+from qefilters.regularization import BETA_MAX, BETA_MIN, R_MAX
 
 HYKO = WavelengthRange(470.0, 630.0)
 
@@ -170,10 +171,6 @@ class TestTotal:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            RegConfig(r_max=1.5)
-        with pytest.raises(ConfigurationError):
-            RegConfig(beta_min=0.3, beta_max=0.2)
-        with pytest.raises(ConfigurationError):
             RegConfig(enabled=("dominance", "sharpness"))
         with pytest.raises(ConfigurationError):
             RegConfig(lambda_reg=-0.1)
@@ -188,7 +185,7 @@ def away_from_kinks(bank, cfg, margin=1e-3):
             top = np.sort(amplitude[f])[::-1]
             if top[0] - top[1] < margin:
                 return False
-            if abs(top[1] / (top[0] + EPSILON) - cfg.r_max) < margin:
+            if abs(top[1] / (top[0] + EPSILON) - R_MAX) < margin:
                 return False
     centroids = bank.centroids[np.arange(num_filters), star]
     for f in range(num_filters):
@@ -197,7 +194,7 @@ def away_from_kinks(bank, cfg, margin=1e-3):
             if gap < margin or abs(gap - cfg.d_min) < margin:
                 return False
     beta = bank.bandwidths[np.arange(num_filters), star]
-    if np.any(np.abs(beta - cfg.beta_min) < margin) or np.any(np.abs(beta - cfg.beta_max) < margin):
+    if np.any(np.abs(beta - BETA_MIN) < margin) or np.any(np.abs(beta - BETA_MAX) < margin):
         return False
     return True
 
