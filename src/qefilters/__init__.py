@@ -3,7 +3,8 @@
 A differentiable, physics-constrained multi-peak Gaussian filter layer for
 hyperspectral dimensionality reduction, trained end to end with analytic
 gradients, plus the classical sampling/normalization/projection baseline
-pipeline and per-pixel segmentation metrics.
+pipeline and per-pixel segmentation metrics. The command-line interface is
+the ``qefilters.cli`` module, which this package does not import.
 """
 
 from .classical import (
@@ -18,7 +19,6 @@ from .classical import (
     project,
     stratified_sample,
 )
-from .cli import cli, export_filters
 from .cubeio import CubeFormatError, LabelMap, parse_cube, read_cube, serialize_cube, write_cube
 from .errors import (
     ConfigurationError,
@@ -51,8 +51,6 @@ from .synthetic import (
     SpectralBump,
     SynthSpec,
     gen_synthetic,
-    hsi_drive_like_wavelengths,
-    hyko_like_wavelengths,
     mixture_spectrum,
 )
 from .training import (

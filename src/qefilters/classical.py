@@ -51,10 +51,16 @@ class LinearProjection:
     kind: str  # "pca" | "nmf"
     components: np.ndarray
     explained_variance: np.ndarray | None = None
-    iterations_run: int | None = None
-    final_residual: float | None = None
-    residual_history: list[float] | None = None
+    residual_history: list[float] | None = None  # NMF: the initial residual, then one per update taken
     shift: np.ndarray | None = None
+
+    @property
+    def iterations_run(self) -> int | None:
+        return None if self.residual_history is None else len(self.residual_history) - 1
+
+    @property
+    def final_residual(self) -> float | None:
+        return None if self.residual_history is None else self.residual_history[-1]
 
 
 def _largest_remainder(quota: int, weights: np.ndarray) -> np.ndarray:
@@ -89,10 +95,14 @@ def stratified_sample(
     """
     if not cubes:
         raise DataError("no cubes to sample from")
-    all_labels = [np.asarray(labels) for _, labels in cubes]
-    for lab in all_labels:
-        _check_integer_labels(lab)
-    labeled = [lab[lab != IGNORE_LABEL] for lab in all_labels]
+    labeled = []
+    for _, labels in cubes:
+        labels = np.asarray(labels)
+        _check_integer_labels(labels)
+        lab = labels[labels != IGNORE_LABEL]
+        if lab.size and lab.min() < 0:
+            raise DataError(f"label {lab[lab < 0][0]} is negative and not IGNORE_LABEL")
+        labeled.append(lab)
     if not any(lab.size for lab in labeled):
         raise DataError("no labeled pixels in any cube")
     num_classes = int(max(lab.max() for lab in labeled if lab.size)) + 1
@@ -221,14 +231,7 @@ def fit_nmf(
         history.append(r)
         if improvement < tol:
             break
-    projection = LinearProjection(
-        kind="nmf",
-        components=h,
-        iterations_run=len(history) - 1,
-        final_residual=history[-1],
-        residual_history=history,
-    )
-    return projection, w
+    return LinearProjection(kind="nmf", components=h, residual_history=history), w
 
 
 def project(cube: Hypercube, stats: BandStats, projection: LinearProjection) -> np.ndarray:
@@ -261,9 +264,8 @@ class ReductionPipeline:
         }
         if self.projection.explained_variance is not None:
             proj["explained_variance"] = self.projection.explained_variance.tolist()
-        if self.projection.iterations_run is not None:
+        if self.projection.residual_history is not None:
             proj["iterations_run"] = self.projection.iterations_run
-        if self.projection.final_residual is not None:
             proj["final_residual"] = self.projection.final_residual
         if self.projection.shift is not None:
             proj["shift"] = self.projection.shift.tolist()
@@ -274,36 +276,6 @@ class ReductionPipeline:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ReductionPipeline":
-        try:
-            stats = BandStats(
-                mean=np.array(doc["stats"]["mean"], dtype=float),
-                std=np.array(doc["stats"]["std"], dtype=float),
-            )
-            proj_doc = doc["projection"]
-            projection = LinearProjection(
-                kind=proj_doc["kind"],
-                components=np.array(proj_doc["components"], dtype=float),
-                explained_variance=(
-                    np.array(proj_doc["explained_variance"], dtype=float)
-                    if "explained_variance" in proj_doc
-                    else None
-                ),
-                iterations_run=proj_doc.get("iterations_run"),
-                final_residual=proj_doc.get("final_residual"),
-                shift=np.array(proj_doc["shift"], dtype=float) if "shift" in proj_doc else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed pipeline document: {exc}") from exc
-        if projection.kind not in ("pca", "nmf"):
-            raise ConfigurationError(f"unknown projection kind {projection.kind!r}")
-        return cls(stats=stats, projection=projection)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReductionPipeline":
-        return cls.from_json_dict(json.loads(text))
 
 
 def fit_reduction_pipeline(

@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen-synth, train, reduce, eval, export-filters. Exit codes:
+Run as the ``qefilters`` console script or as ``python -m qefilters.cli``;
+the package does not import this module. Subcommands: gen-synth, train,
+reduce, eval, export-filters. Each of gen-synth, train and reduce reads a
+JSON config whose ``seed`` key is the one way to reseed it. Exit codes:
 0 success, 1 usage error, 2 data/configuration error, 3 training divergence.
 All artifacts land under --out.
 """
@@ -113,16 +116,14 @@ def _strings(value) -> tuple[str, ...]:
 # gen-synth sets per file from the counts below.
 _SYNTH_SPEC_KEYS = ("classes", "wavelengths", "planted_centers_nm", "noise_sigma", "height", "width",
                     "blobs_per_image", "seed")
-_SYNTH_COUNTS = {"images": int, "train_images": int, "val_images": int}
+_SYNTH_COUNTS = {"train_images": int, "val_images": int}
 
 
-def _synth_specs(doc, seed_override=None) -> dict[str, SynthSpec]:
+def _synth_specs(doc) -> dict[str, SynthSpec]:
     """The specs of the ``train`` and ``val`` files a gen-synth config document describes."""
     check_keys(doc, [*_SYNTH_SPEC_KEYS, *_SYNTH_COUNTS], "gen-synth config")
-    if seed_override is not None:
-        doc = dict(doc, seed=seed_override)
     counts = config_values(doc, _SYNTH_COUNTS, "gen-synth config")
-    images = {"train": counts.get("train_images", counts.get("images", 4))}
+    images = {"train": counts.get("train_images", 4)}
     images["val"] = counts.get("val_images", max(1, images["train"] // 4))
     return {
         name: spec_from_dict(dict(doc, images=count, subset=subset))
@@ -131,7 +132,7 @@ def _synth_specs(doc, seed_override=None) -> dict[str, SynthSpec]:
 
 
 def _cmd_gen_synth(args) -> int:
-    specs = _synth_specs(_load_json(args.config), args.seed)
+    specs = _synth_specs(_load_json(args.config))
     out = _out_dir(args.out)
     for name, spec in specs.items():
         write_cube(*gen_synthetic(spec), out / f"{name}.hypc")
@@ -164,11 +165,9 @@ _REG_KEYS = {
 }
 
 
-def _train_settings(doc, seed_override=None) -> tuple[list, TrainConfig]:
+def _train_settings(doc) -> tuple[list, TrainConfig]:
     """The values of a train config document's required keys, in order, and its TrainConfig."""
     required, options = _read_config(doc, _TRAIN_REQUIRED, _TRAIN_KEYS, "train config")
-    if seed_override is not None:
-        options["seed"] = seed_override
     return required, TrainConfig(**options)
 
 
@@ -183,7 +182,7 @@ def _read_labeled(path) -> tuple[Hypercube, np.ndarray, int]:
 
 
 def _cmd_train(args) -> int:
-    (train_path, val_path, num_filters, peaks), config = _train_settings(_load_json(args.config), args.seed)
+    (train_path, val_path, num_filters, peaks), config = _train_settings(_load_json(args.config))
     train_cube, train_labels, train_classes = _read_labeled(train_path)
     val_cube, val_labels, val_classes = _read_labeled(val_path)
     report = train(
@@ -225,7 +224,7 @@ def _cmd_reduce(args) -> int:
         method,
         num_filters,
         target_total=options.get("target_samples", 50_000),
-        seed=args.seed if args.seed is not None else options.get("seed", 0),
+        seed=options.get("seed", 0),
     )
     out = _out_dir(args.out)
     (out / "pipeline.json").write_text(pipeline.to_json())
@@ -278,19 +277,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic labeled dataset")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_synth)
 
     p = sub.add_parser("train", help="train a filter bank end to end")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("reduce", help="fit and apply a classical reduction pipeline")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reduce)
 
@@ -323,7 +319,7 @@ def cli(argv) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, ConfigurationError, QEFiltersError, OSError) as exc:
+    except (QEFiltersError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -176,10 +176,6 @@ class FilterBankParams:
             raise ConfigurationError("filter-bank document has ragged or empty peak lists")
         return cls(table, rng)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FilterBankParams":
-        return cls.from_json_dict(json.loads(text))
-
 
 def normalize_wavelengths(wavelengths_nm: Sequence[float], wavelength_range: WavelengthRange) -> np.ndarray:
     """Map channel wavelengths onto the normalized [0, 1] axis.

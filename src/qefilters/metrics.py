@@ -17,8 +17,8 @@ from .errors import DataError
 IGNORE_LABEL = 65535  # the library's one unlabeled value; the CLI maps each file's to it
 
 
-def _check_integer_labels(labels: np.ndarray) -> None:
-    """Raise ``DataError`` naming the first label that is not a whole number.
+def _check_integer_labels(labels: np.ndarray, what: str = "label") -> None:
+    """Raise ``DataError`` naming the first ``what`` that is not a whole number.
 
     Integer and boolean arrays can hold nothing else, so their values go unread.
     """
@@ -26,7 +26,7 @@ def _check_integer_labels(labels: np.ndarray) -> None:
         return
     bad = (labels != np.floor(labels)) | np.isinf(labels)  # NaN differs from itself
     if bad.any():
-        raise DataError(f"label {labels[bad][0]} is not an integer")
+        raise DataError(f"{what} {labels[bad][0]} is not an integer")
 
 
 class ConfusionMatrix:
@@ -45,6 +45,7 @@ class ConfusionMatrix:
         if pred.shape != truth.shape:
             raise DataError(f"prediction shape {pred.shape} does not match labels {truth.shape}")
         _check_integer_labels(truth)
+        _check_integer_labels(pred, "prediction")
         mask = truth != IGNORE_LABEL
         pred = pred[mask].astype(np.int64)
         truth = truth[mask].astype(np.int64)

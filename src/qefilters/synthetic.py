@@ -10,6 +10,11 @@ Pixel spectra are the class mixture evaluated at the channel wavelengths
 plus iid Gaussian noise. Each image draws from its own counter-based Philox
 substream keyed by (seed, subset, image index) in a fixed order, so images
 can be generated independently or in parallel without changing the output.
+
+``spec_from_dict`` reads the JSON layout that ``qefilters gen-synth`` takes.
+Its ``wavelengths`` entry is a named preset (``hyko``: 15 channels over
+470-630 nm; ``hsi-drive``: 25 channels over 600-975 nm), an explicit
+``{start_nm, end_nm, channels}`` grid, or a list of wavelengths.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .cubeio import LabelMap
-from .errors import ConfigurationError, check_keys, config_value, json_typed
+from .errors import ConfigurationError, check_keys, config_value, config_values, json_typed
 from .metrics import IGNORE_LABEL
 from .projection import Hypercube
 from .rng import make_generator
@@ -39,16 +44,6 @@ class SpectralBump:
     def __post_init__(self):
         if self.width_nm <= 0:
             raise ConfigurationError(f"bump width must be positive, got {self.width_nm}")
-
-
-def hyko_like_wavelengths() -> np.ndarray:
-    """15 channels over 470-630 nm."""
-    return np.linspace(470.0, 630.0, 15)
-
-
-def hsi_drive_like_wavelengths() -> np.ndarray:
-    """25 channels over 600-975 nm."""
-    return np.linspace(600.0, 975.0, 25)
 
 
 def mixture_spectrum(bumps: Sequence[SpectralBump], wavelengths_nm: np.ndarray) -> np.ndarray:
@@ -161,6 +156,10 @@ def _floats(values) -> tuple[float, ...]:
 
 
 _BUMP_KEYS = ("center_nm", "width_nm", "height")
+_GRID_KEYS = {"start_nm": float, "end_nm": float, "channels": int}
+# Named channel grids, each (start_nm, end_nm, channels) as an explicit grid gives them.
+_PRESETS = {"hyko": (470.0, 630.0, 15), "hsi-drive": (600.0, 975.0, 25)}
+_SPEC_OPTIONS = {"blobs_per_image": int, "seed": int, "subset": int}  # absent: SynthSpec's defaults
 
 
 def _bump(doc, where: str) -> SpectralBump:
@@ -182,20 +181,12 @@ def spec_from_dict(doc: dict) -> SynthSpec:
         grid = f"{where} 'wavelengths'"
         if isinstance(wl_doc, dict) and "preset" in wl_doc:
             check_keys(wl_doc, ("preset",), grid)
-            preset = wl_doc["preset"]
-            if preset == "hyko":
-                wl = hyko_like_wavelengths()
-            elif preset == "hsi-drive":
-                wl = hsi_drive_like_wavelengths()
-            else:
-                raise ConfigurationError(f"unknown wavelength preset {preset!r}")
+            if wl_doc["preset"] not in _PRESETS:
+                raise ConfigurationError(f"unknown wavelength preset {wl_doc['preset']!r}")
+            wl = np.linspace(*_PRESETS[wl_doc["preset"]])
         elif isinstance(wl_doc, dict):
-            check_keys(wl_doc, ("start_nm", "end_nm", "channels"), grid)
-            wl = np.linspace(
-                config_value(wl_doc, "start_nm", float, grid),
-                config_value(wl_doc, "end_nm", float, grid),
-                config_value(wl_doc, "channels", int, grid),
-            )
+            check_keys(wl_doc, _GRID_KEYS, grid)
+            wl = np.linspace(*(config_value(wl_doc, key, kind, grid) for key, kind in _GRID_KEYS.items()))
         else:
             wl = np.asarray(config_value(doc, "wavelengths", _floats, where))
         classes = tuple(tuple(_bump(b, f"{where} 'classes'") for b in bumps) for bumps in doc["classes"])
@@ -207,9 +198,7 @@ def spec_from_dict(doc: dict) -> SynthSpec:
             images=config_value(doc, "images", int, where),
             height=config_value(doc, "height", int, where),
             width=config_value(doc, "width", int, where),
-            blobs_per_image=config_value(doc, "blobs_per_image", int, where, 6),
-            seed=config_value(doc, "seed", int, where, 0),
-            subset=config_value(doc, "subset", int, where, 0),
+            **config_values(doc, _SPEC_OPTIONS, where),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed synthetic-data config: {exc}") from exc

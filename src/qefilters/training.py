@@ -262,13 +262,11 @@ def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarra
 
     Counts are floored at one pixel so classes absent from the split stay
     finite; they never contribute to the loss anyway. A label that is not
-    an integer is a ``DataError``.
+    an integer, or lies outside [0, K) and is not ``IGNORE_LABEL``, is a
+    ``DataError``.
     """
-    labels = np.asarray(labels)
-    _check_integer_labels(labels)
-    vals = labels[labels != IGNORE_LABEL].astype(np.int64)
-    counts = np.bincount(vals, minlength=num_classes).astype(float)
-    counts = np.maximum(counts, 1.0)
+    target, mask = _check_labels(labels, num_classes)
+    counts = np.maximum(np.bincount(target[mask], minlength=num_classes).astype(float), 1.0)
     weights = 1.0 / counts
     return weights / weights.mean()
 
@@ -491,7 +489,7 @@ def train(
         num_classes = int(
             max(train_labels[train_labels != IGNORE_LABEL].max(), val_labels[val_labels != IGNORE_LABEL].max())
         ) + 1
-    _check_labels(train_labels, num_classes)
+    weights = inverse_frequency_weights(train_labels, num_classes)  # checks the training labels
     _check_labels(val_labels, num_classes)
 
     wl = train_cube.wavelengths_nm
@@ -506,7 +504,6 @@ def train(
     )
     shuffle_rng = make_generator(config.seed, 2)
 
-    weights = inverse_frequency_weights(train_labels, num_classes)
     params = [bank.table, *head.parameters().values()]
     decay = [0.0] + [_HEAD_WEIGHT_DECAY] * (len(params) - 1)
     optimizer = AdamW(params, config.learning_rate, decay)

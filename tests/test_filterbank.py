@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,13 +201,11 @@ class TestSerialization:
         table[0, 0, 0] = 0.1234567890123456789
         table[1, 1, 1] = -7.000000000000001
         bank = FilterBankParams(table, HYKO)
-        restored = FilterBankParams.from_json(bank.to_json())
+        restored = FilterBankParams.from_json_dict(json.loads(bank.to_json()))
         assert np.array_equal(restored.table, bank.table)
         assert restored.range == bank.range
 
     def test_json_layout(self):
-        import json
-
         bank = init_filter_bank(2, 1, HYKO, seed=3)
         doc = json.loads(bank.to_json())
         assert set(doc) == {"range", "filters"}
@@ -215,4 +215,4 @@ class TestSerialization:
 
     def test_malformed_document_rejected(self):
         with pytest.raises(ConfigurationError):
-            FilterBankParams.from_json('{"range": {"start_nm": 1, "end_nm": 2}}')
+            FilterBankParams.from_json_dict({"range": {"start_nm": 1, "end_nm": 2}})

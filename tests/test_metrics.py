@@ -77,6 +77,11 @@ class TestAccumulate:
         with pytest.raises(DataError, match="label 0.5 is not an integer"):
             ConfusionMatrix(2).accumulate([0, 1], [0.5, 1.2])
 
+    def test_non_integer_prediction_rejected(self):
+        # Truncated, 0.5 and 1.7 would count as classes 0 and 1.
+        with pytest.raises(DataError, match="prediction 0.5 is not an integer"):
+            ConfusionMatrix(2).accumulate([0.5, 1.7], [0, 1])
+
 
 class TestComputeMetrics:
     def test_perfect_two_class(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qefilters import ConfigurationError, SpectralBump, SynthSpec, gen_synthetic, mixture_spectrum
-from qefilters.synthetic import hsi_drive_like_wavelengths, hyko_like_wavelengths, spec_from_dict
+from qefilters.synthetic import spec_from_dict
 
 from tasks import metameric_spec, planted3_spec
 
@@ -29,10 +29,21 @@ def simple_spec(noise=0.0, seed=0, **overrides):
 
 class TestPresets:
     def test_grids(self):
-        hyko = hyko_like_wavelengths()
-        assert hyko.size == 15 and hyko[0] == 470.0 and hyko[-1] == 630.0
-        drive = hsi_drive_like_wavelengths()
-        assert drive.size == 25 and drive[0] == 600.0 and drive[-1] == 975.0
+        doc = {
+            "classes": [
+                [{"center_nm": 700, "width_nm": 100, "height": 0.4}],
+                [{"center_nm": 700, "width_nm": 100, "height": 0.4}, {"center_nm": 620, "width_nm": 15, "height": 0.3}],
+            ],
+            "planted_centers_nm": [620],
+            "images": 1,
+            "height": 4,
+            "width": 4,
+        }
+        for preset, (start, end, channels) in {"hyko": (470, 630, 15), "hsi-drive": (600, 975, 25)}.items():
+            named = spec_from_dict(dict(doc, wavelengths={"preset": preset})).wavelengths_nm
+            grid = {"start_nm": start, "end_nm": end, "channels": channels}
+            assert len(named) == channels and named[0] == start and named[-1] == end
+            assert named == spec_from_dict(dict(doc, wavelengths=grid)).wavelengths_nm
 
 
 class TestMetamericInvariant:

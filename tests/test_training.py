@@ -276,6 +276,12 @@ class TestClassWeights:
         with pytest.raises(DataError, match="label 0.5 is not an integer"):
             inverse_frequency_weights(np.array([0.5, 1.7, 1.0]), 2)
 
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_label_outside_class_range(self, bad):
+        # Unchecked, 5 made the weights K + 4 long and -1 a bare ValueError from np.bincount.
+        with pytest.raises(DataError, match=rf"label {bad} outside \[0, 2\)"):
+            inverse_frequency_weights(np.array([[[0, 1, bad]]]), 2)
+
 
 def tiny_dataset(seed=0, images=4, noise=0.05):
     rng = np.random.default_rng(seed)
