@@ -20,14 +20,7 @@ from .classical import (
     stratified_sample,
 )
 from .cubeio import CubeFormatError, LabelMap, parse_cube, read_cube, serialize_cube, write_cube
-from .errors import (
-    ConfigurationError,
-    DataError,
-    DimensionMismatchError,
-    QEFiltersError,
-    RangeViolationError,
-    TrainingDivergedError,
-)
+from .errors import ConfigurationError, DataError, QEFiltersError, TrainingDivergedError
 from .filterbank import (
     EPSILON,
     FilterBankParams,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DimensionMismatchError
+from .errors import ConfigurationError, DataError
 from .metrics import IGNORE_LABEL, _check_integer_labels
 from .projection import Hypercube
 from .rng import make_generator
@@ -96,8 +96,11 @@ def stratified_sample(
     if not cubes:
         raise DataError("no cubes to sample from")
     labeled = []
-    for _, labels in cubes:
+    for cube, labels in cubes:
         labels = np.asarray(labels)
+        expected = (cube.dims[0],) + cube.dims[2:]
+        if labels.shape != expected:
+            raise DataError(f"labels have shape {labels.shape}, not the cube's (B, H, W) {expected}")
         _check_integer_labels(labels)
         lab = labels[labels != IGNORE_LABEL]
         if lab.size and lab.min() < 0:
@@ -237,12 +240,12 @@ def fit_nmf(
 def project(cube: Hypercube, stats: BandStats, projection: LinearProjection) -> np.ndarray:
     """Standardize, apply the NMF shift if any, then matrix-multiply per pixel."""
     if stats.mean.size != cube.dims[1]:
-        raise DimensionMismatchError(
+        raise DataError(
             f"stats cover {stats.mean.size} bands but cube has {cube.dims[1]}"
         )
     data = _standardize(cube.data, stats)
     if projection.components.shape[1] != cube.dims[1]:
-        raise DimensionMismatchError(
+        raise DataError(
             f"projection covers {projection.components.shape[1]} bands but cube has {cube.dims[1]}"
         )
     if projection.shift is not None:

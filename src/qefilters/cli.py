@@ -213,19 +213,15 @@ def _cmd_reduce(args) -> int:
     doc = _load_json(args.config)
     (method, num_filters, train_path), options = _read_config(doc, _REDUCE_REQUIRED, _REDUCE_KEYS, "reduce config")
     outputs = {}  # output file name -> the 'apply' entry it reduces
-    for path in options.get("apply", ()):
+    for path in options.pop("apply", ()):
         name = Path(path).stem + ".reduced.hypc"
         if name in outputs:
             raise ConfigurationError(f"reduce config 'apply' entries {outputs[name]!r} and {path!r} both write {name}")
         outputs[name] = path
     cube, labels, _ = _read_labeled(train_path)
-    pipeline = fit_reduction_pipeline(
-        [(cube, labels)],
-        method,
-        num_filters,
-        target_total=options.get("target_samples", 50_000),
-        seed=options.get("seed", 0),
-    )
+    # The keys the config sets; fit_reduction_pipeline holds the defaults of the rest.
+    fitting = {"target_total" if key == "target_samples" else key: value for key, value in options.items()}
+    pipeline = fit_reduction_pipeline([(cube, labels)], method, num_filters, **fitting)
     out = _out_dir(args.out)
     (out / "pipeline.json").write_text(pipeline.to_json())
     print(f"wrote {out / 'pipeline.json'}")

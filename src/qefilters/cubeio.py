@@ -17,9 +17,11 @@ offset 0              magic ``HYPC`` (4 bytes)
 
 Declared sizes must match the payload exactly; a parser never reads past a
 length check, so corrupt headers cannot trigger huge allocations. Every
-failure mode is a distinct :class:`CubeFormatError` subclass carrying the
-byte offset where parsing stopped. Reflectance is stored as float32 and
-widened to float64 in memory.
+failure is one :class:`CubeFormatError` whose message names it and carries
+the byte offset where parsing stopped. The writer runs the reader's value
+checks, at the offsets the file would have had, so a cube is written only
+if its bytes would parse. Reflectance is stored as float32 and widened to
+float64 in memory.
 
 :func:`read_cube` reads a file into one ``np.uint8`` buffer, and
 :func:`parse_cube` takes views of its buffer, so the only large allocations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .metrics import IGNORE_LABEL
+from .metrics import IGNORE_LABEL, _check_integer_labels
 from .projection import Hypercube
 
 MAGIC = b"HYPC"
@@ -52,41 +54,6 @@ class CubeFormatError(DataError):
     def __init__(self, message: str, offset: int):
         self.offset = offset
         super().__init__(f"{message} (at byte offset {offset})")
-
-
-class BadMagicError(CubeFormatError):
-    pass
-
-
-class UnsupportedVersionError(CubeFormatError):
-    pass
-
-
-class TruncatedFileError(CubeFormatError):
-    def __init__(self, expected: int, actual: int, offset: int):
-        self.expected = expected
-        self.actual = actual
-        super().__init__(f"truncated file: expected {expected} bytes, have {actual}", offset)
-
-
-class InvalidDimensionsError(CubeFormatError):
-    pass
-
-
-class WavelengthOrderError(CubeFormatError):
-    pass
-
-
-class NonFiniteValueError(CubeFormatError):
-    pass
-
-
-class LabelRangeError(CubeFormatError):
-    pass
-
-
-class TrailingBytesError(CubeFormatError):
-    pass
 
 
 @dataclass
@@ -106,10 +73,11 @@ class _Cursor:
         self.offset = 0
 
     def take(self, count: int) -> memoryview:
-        if self.offset + count > len(self.blob):
-            raise TruncatedFileError(self.offset + count, len(self.blob), self.offset)
-        out = self.blob[self.offset : self.offset + count]
-        self.offset += count
+        end = self.offset + count
+        if end > len(self.blob):
+            raise CubeFormatError(f"truncated file: expected {end} bytes, have {len(self.blob)}", self.offset)
+        out = self.blob[self.offset : end]
+        self.offset = end
         return out
 
     @property
@@ -117,45 +85,66 @@ class _Cursor:
         return len(self.blob) - self.offset
 
 
+# The value checks, shared by the reader and the writer; each takes its field's offset.
+
+
+def _check_dims(dims, offset: int) -> None:
+    for i, (name, value) in enumerate(zip("BCHW", dims)):
+        if value == 0:
+            raise CubeFormatError(f"dimension {name} is zero", offset + 4 * i)
+
+
+def _check_wavelengths(wavelengths: np.ndarray, offset: int) -> None:
+    if not np.all(np.isfinite(wavelengths)):
+        bad = int(np.flatnonzero(~np.isfinite(wavelengths))[0])
+        raise CubeFormatError(f"wavelength {bad} is not finite", offset + 8 * bad)
+    increasing = np.diff(wavelengths) > 0
+    if not np.all(increasing):
+        bad = int(np.flatnonzero(~increasing)[0]) + 1
+        raise CubeFormatError(f"wavelengths not strictly increasing at channel {bad}", offset + 8 * bad)
+
+
+def _check_reflectance(stored: np.ndarray, offset: int) -> None:
+    # ``stored`` is float32. Its min or its max is NaN or infinite exactly
+    # when some value is, and neither needs a temporary array.
+    if not (np.isfinite(stored.min()) and np.isfinite(stored.max())):
+        bad = int(np.flatnonzero(~np.isfinite(stored))[0])
+        raise CubeFormatError(f"reflectance value {bad} is not finite", offset + 4 * bad)
+
+
+def _check_class_count(num_classes: int, offset: int) -> None:
+    if num_classes == 0:
+        raise CubeFormatError("label block declares zero classes", offset)
+
+
+def _check_labels(values: np.ndarray, num_classes: int, ignore_value: int, offset: int) -> None:
+    """``values`` are whole numbers, none negative; a label's offset follows index order."""
+    out_of_range = (values >= num_classes) & (values != ignore_value)
+    if out_of_range.any():
+        bad = int(np.flatnonzero(out_of_range)[0])
+        label = int(values.flat[bad])
+        raise CubeFormatError(f"label {label} outside [0, {num_classes}) and not the ignore value", offset + 2 * bad)
+
+
 def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
-    """Parse the byte layout above; raises CubeFormatError subclasses.
+    """Parse the byte layout above; raises :class:`CubeFormatError`.
 
     ``blob`` is any contiguous byte buffer, such as ``bytes`` or a ``np.uint8``
     array. The arrays returned are copies and never alias it.
     """
     cur = _Cursor(blob)
     if cur.take(4) != MAGIC:
-        raise BadMagicError(f"bad magic, expected {MAGIC!r}", 0)
-    version_off = cur.offset
+        raise CubeFormatError(f"bad magic, expected {MAGIC!r}", 0)
     (version,) = struct.unpack("<H", cur.take(2))
     if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported version {version}", version_off)
-    dims_off = cur.offset
+        raise CubeFormatError(f"unsupported version {version}", 4)
     b, c, h, w = struct.unpack("<4I", cur.take(16))
-    for i, (name, value) in enumerate(zip("BCHW", (b, c, h, w))):
-        if value == 0:
-            raise InvalidDimensionsError(f"dimension {name} is zero", dims_off + 4 * i)
-
-    wl_off = cur.offset
+    _check_dims((b, c, h, w), 6)
     wavelengths = np.frombuffer(cur.take(8 * c), dtype="<f8").astype(float)
-    if not np.all(np.isfinite(wavelengths)):
-        bad = int(np.flatnonzero(~np.isfinite(wavelengths))[0])
-        raise NonFiniteValueError(f"wavelength {bad} is not finite", wl_off + 8 * bad)
-    increasing = np.diff(wavelengths) > 0
-    if not np.all(increasing):
-        bad = int(np.flatnonzero(~increasing)[0]) + 1
-        raise WavelengthOrderError(
-            f"wavelengths not strictly increasing at channel {bad}", wl_off + 8 * bad
-        )
-
+    _check_wavelengths(wavelengths, 22)
     data_off = cur.offset
-    count = b * c * h * w
-    stored = np.frombuffer(cur.take(4 * count), dtype="<f4")
-    # The min or the max is NaN or infinite exactly when some value is, and
-    # neither needs a temporary array.
-    if not (np.isfinite(stored.min()) and np.isfinite(stored.max())):
-        bad = int(np.flatnonzero(~np.isfinite(stored))[0])
-        raise NonFiniteValueError(f"reflectance value {bad} is not finite", data_off + 4 * bad)
+    stored = np.frombuffer(cur.take(4 * b * c * h * w), dtype="<f4")
+    _check_reflectance(stored, data_off)
     # Every check Hypercube makes has been made above, on the stored values.
     cube = Hypercube._checked(stored.astype(float).reshape(b, c, h, w), wavelengths)
 
@@ -163,105 +152,76 @@ def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
     if cur.remaining:
         block_off = cur.offset
         if cur.take(4) != LABEL_MAGIC:
-            raise BadMagicError(f"bad label-block magic, expected {LABEL_MAGIC!r}", block_off)
+            raise CubeFormatError(f"bad label-block magic, expected {LABEL_MAGIC!r}", block_off)
         k_off = cur.offset
         (num_classes,) = struct.unpack("<H", cur.take(2))
-        if num_classes == 0:
-            raise InvalidDimensionsError("label block declares zero classes", k_off)
+        _check_class_count(num_classes, k_off)
         (ignore_value,) = struct.unpack("<H", cur.take(2))
-        values_off = cur.offset
         values = np.frombuffer(cur.take(2 * b * h * w), dtype="<u2").astype(np.int64)
-        out_of_range = (values >= num_classes) & (values != ignore_value)
-        if out_of_range.any():
-            bad = int(np.flatnonzero(out_of_range)[0])
-            raise LabelRangeError(
-                f"label {values[bad]} outside [0, {num_classes}) and not the ignore value",
-                values_off + 2 * bad,
-            )
+        _check_labels(values, num_classes, ignore_value, k_off + 4)
         labels = LabelMap(values.reshape(b, h, w), num_classes, ignore_value)
 
     if cur.remaining:
-        raise TrailingBytesError(f"{cur.remaining} unexpected trailing bytes", cur.offset)
+        raise CubeFormatError(f"{cur.remaining} unexpected trailing bytes", cur.offset)
     return cube, labels
 
 
 def _encode(cube: Hypercube, labels: LabelMap | None) -> tuple[bytes, np.ndarray, bytes]:
-    """The header, the float32 payload and the label block of the layout above.
+    """The header, the float32 payload and the label block (empty without labels).
 
-    The label block is empty without labels. Raises :class:`DataError` for
-    anything :func:`parse_cube` would reject, before anything is returned.
+    Rejects with :class:`DataError` the label values u16 cannot hold, and runs
+    the checks of :func:`parse_cube`, whose errors carry the offset the file
+    would have had.
     """
     b, c, h, w = cube.dims
-    if min(cube.dims) < 1:
-        raise DataError(f"cube dimensions {cube.dims} include a zero")
+    _check_dims(cube.dims, 6)
     wavelengths = np.asarray(cube.wavelengths_nm, dtype=float)
-    if not (np.all(np.isfinite(wavelengths)) and np.all(np.diff(wavelengths) > 0)):
-        raise DataError("wavelengths must be finite and strictly increasing")
+    _check_wavelengths(wavelengths, 22)
+    data_off = 22 + 8 * c
     with np.errstate(over="ignore", invalid="ignore"):
         data = np.asarray(cube.data).astype("<f4")
-    if not np.all(np.isfinite(data)):
-        raise DataError("reflectance values are not finite as float32")
-    header = b"".join(
-        [
-            MAGIC,
-            struct.pack("<H", VERSION),
-            struct.pack("<4I", b, c, h, w),
-            wavelengths.astype("<f8").tobytes(),
-        ]
-    )
+    _check_reflectance(data, data_off)
+    header = MAGIC + struct.pack("<H4I", VERSION, b, c, h, w) + wavelengths.astype("<f8").tobytes()
     label_block = b""
     if labels is not None:
         values = np.asarray(labels.values)
         if values.shape != (b, h, w):
             raise DataError(f"label shape {values.shape} does not match cube {(b, h, w)}")
         num_classes, ignore = labels.num_classes, labels.ignore_value
-        if not 1 <= num_classes <= _U16_MAX:
-            raise DataError(f"invalid class count {num_classes}")
-        if not 0 <= ignore <= _U16_MAX:
-            raise DataError(f"ignore value {ignore} outside [0, {_U16_MAX}]")
-        with np.errstate(invalid="ignore"):
-            ints = values.astype(np.int64)
-        if not np.array_equal(ints, values):
-            raise DataError("labels must be integers")
-        bad = (ints < 0) | ((ints >= num_classes) & (ints != ignore))
-        if bad.any():
-            raise DataError(
-                f"label {ints[bad][0]} outside [0, {num_classes}) and not the ignore value {ignore}"
-            )
-        label_block = b"".join(
-            [
-                LABEL_MAGIC,
-                struct.pack("<H", num_classes),
-                struct.pack("<H", ignore),
-                ints.astype("<u2").tobytes(),
-            ]
-        )
+        for name, value in (("class count", num_classes), ("ignore value", ignore)):
+            if not 0 <= value <= _U16_MAX:
+                raise DataError(f"{name} {value} outside [0, {_U16_MAX}]")
+        _check_integer_labels(values)
+        if values.min() < 0:
+            raise DataError(f"label {values[values < 0][0]} is negative")
+        k_off = data_off + 4 * data.size + 4
+        _check_class_count(num_classes, k_off)
+        _check_labels(values, num_classes, ignore, k_off + 4)
+        label_block = LABEL_MAGIC + struct.pack("<2H", num_classes, ignore) + values.astype("<u2").tobytes()
     return header, data, label_block
 
 
 def serialize_cube(cube: Hypercube, labels: LabelMap | None = None) -> bytes:
     """Encode a cube and optional labels in the byte layout above.
 
-    Raises :class:`DataError`, before any bytes are produced, for anything
-    :func:`parse_cube` would reject, so a successful write reads back equal
-    to its input after float32 rounding of the reflectances.
+    Raises, before any bytes are produced, for anything :func:`parse_cube`
+    would reject, so a successful write reads back equal to its input after
+    float32 rounding of the reflectances.
     """
     header, data, label_block = _encode(cube, labels)
     return b"".join([header, data.tobytes(), label_block])
 
 
 def read_cube(path) -> tuple[Hypercube, LabelMap | None]:
-    # The file goes straight into one numpy buffer, which parse_cube only
-    # takes views of.
+    """:func:`parse_cube` of the file, read into one numpy buffer that it only takes views of."""
     return parse_cube(np.fromfile(path, dtype=np.uint8))
 
 
 def write_cube(cube: Hypercube, labels: LabelMap | None, path) -> None:
     """Write the bytes of :func:`serialize_cube` to ``path``.
 
-    Every check runs before the file is opened, so a rejected cube creates
-    no file. The float32 payload goes from its array to the file, with no
-    copy into a bytes object.
+    Every check runs before the file is opened, so a rejected cube creates no
+    file. The float32 payload goes to the file with no copy into a bytes object.
     """
     header, data, label_block = _encode(cube, labels)
     with open(path, "wb") as f:

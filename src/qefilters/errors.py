@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 1, data and
-configuration problems exit 2, training divergence exits 3.
+Three errors under one base, :class:`QEFiltersError`, which the CLI maps
+onto exit codes: usage problems exit 1, data problems (:class:`DataError`,
+including :class:`qefilters.cubeio.CubeFormatError` for a malformed file)
+and configuration problems exit 2, training divergence exits 3. A message
+names what failed; no caller needs a finer class.
 ``check_keys``, ``config_value`` and ``config_values`` turn an unknown key
 or a bad value in a JSON configuration document into a ConfigurationError
 that names the key; ``json_typed`` holds a value, or a list entry, to the
@@ -19,14 +22,6 @@ class ConfigurationError(QEFiltersError):
 
 class DataError(QEFiltersError):
     """Invalid input data: bad labels, malformed files, broken invariants."""
-
-
-class RangeViolationError(DataError):
-    """A wavelength fell outside the declared spectral range."""
-
-
-class DimensionMismatchError(DataError):
-    """Array shapes that must agree do not."""
 
 
 class TrainingDivergedError(QEFiltersError):

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, RangeViolationError
+from .errors import ConfigurationError, DataError
 from .rng import make_generator
 
 EPSILON = 1e-8  # guard in the response-normalization denominator; not configurable
@@ -186,11 +186,11 @@ def normalize_wavelengths(wavelengths_nm: Sequence[float], wavelength_range: Wav
     wl = np.asarray(wavelengths_nm, dtype=float)
     if wl.ndim != 1 or wl.size < 1:
         raise ConfigurationError("wavelengths must be a non-empty 1-D sequence")
-    below = wl < wavelength_range.start_nm
-    above = wl > wavelength_range.end_nm
-    if np.any(below | above):
-        idx = int(np.argmax(below | above))
-        raise RangeViolationError(
+    # Written as "not inside" so that NaN, which compares false, is outside.
+    outside = ~((wl >= wavelength_range.start_nm) & (wl <= wavelength_range.end_nm))
+    if np.any(outside):
+        idx = int(np.argmax(outside))
+        raise DataError(
             f"channel {idx} at {wl[idx]} nm lies outside "
             f"[{wavelength_range.start_nm}, {wavelength_range.end_nm}] nm"
         )

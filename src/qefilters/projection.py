@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DimensionMismatchError
+from .errors import ConfigurationError, DataError
 from .filterbank import EPSILON, FilterResponseMatrix, _peak_geometry
 
 
@@ -65,7 +65,7 @@ class Hypercube:
         if self.data.ndim != 4:
             raise DataError(f"hypercube data must be 4-D (B, C, H, W), got shape {self.data.shape}")
         if self.wavelengths_nm.ndim != 1 or self.wavelengths_nm.size != self.data.shape[1]:
-            raise DimensionMismatchError(
+            raise DataError(
                 f"wavelength vector length {self.wavelengths_nm.size} does not match "
                 f"channel count {self.data.shape[1]}"
             )
@@ -135,7 +135,7 @@ def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> np.nda
     """Contract the spectral axis: Y[b,f,h,w] = sum_c weights[f,c] * X[b,c,h,w]."""
     num_filters, num_channels = response.weights.shape
     if num_channels != cube.dims[1]:
-        raise DimensionMismatchError(
+        raise DataError(
             f"response has {num_channels} channels but cube has {cube.dims[1]}"
         )
     if num_filters >= num_channels:
@@ -173,11 +173,11 @@ def backward(
     num_filters, num_channels = cached.weights.shape
     expected = (cube.dims[0], num_filters, cube.dims[2], cube.dims[3])
     if upstream.shape != expected:
-        raise DimensionMismatchError(
+        raise DataError(
             f"upstream gradient shape {upstream.shape} does not match expected {expected}"
         )
     if num_channels != cube.dims[1]:
-        raise DimensionMismatchError(
+        raise DataError(
             f"cached response has {num_channels} channels but cube has {cube.dims[1]}"
         )
 

@@ -42,7 +42,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DimensionMismatchError, TrainingDivergedError
+from .errors import ConfigurationError, DataError, TrainingDivergedError
 from .filterbank import (
     FilterBankParams,
     WavelengthRange,
@@ -479,7 +479,7 @@ def train(
     for split, cube, labels in (("train", train_cube, train_labels), ("val", val_cube, val_labels)):
         expected = (cube.dims[0],) + cube.dims[2:]
         if labels.shape != expected:
-            raise DimensionMismatchError(f"{split} labels have shape {labels.shape}, not (B, H, W) {expected}")
+            raise DataError(f"{split} labels have shape {labels.shape}, not (B, H, W) {expected}")
     if train_cube.dims[0] < 1 or val_cube.dims[0] < 1:
         raise ConfigurationError("need at least one training and one validation image")
     if not np.any(train_labels != IGNORE_LABEL) or not np.any(val_labels != IGNORE_LABEL):

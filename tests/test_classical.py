@@ -7,7 +7,6 @@ from qefilters import (
     BandStats,
     ConfigurationError,
     DataError,
-    DimensionMismatchError,
     Hypercube,
     LinearProjection,
     fit_band_stats,
@@ -124,6 +123,14 @@ class TestStratifiedSample:
         labels = labels.astype(float)
         labels[0, 0] = 1.7
         with pytest.raises(DataError, match="label 1.7 is not an integer"):
+            stratified_sample([(cube, labels)], 20, seed=0)
+
+    # Smaller labels would draw the sample at the wrong pixels; larger ones index past the cube.
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 5, 5)])
+    def test_label_shape_must_match_cube(self, shape):
+        cube, _ = labeled_cube(10, 2, 4, 4, channels=5)
+        labels = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(DataError, match=rf"labels have shape \({shape[0]}, {shape[1]}, {shape[2]}\), not .* \(2, 4, 4\)"):
             stratified_sample([(cube, labels)], 20, seed=0)
 
 
@@ -296,7 +303,7 @@ class TestProject:
     def test_stats_of_another_band_count_rejected(self):
         cube, _ = labeled_cube(20, 1, 2, 2, channels=4)
         stats = BandStats(mean=np.zeros(3), std=np.ones(3))
-        with pytest.raises(DimensionMismatchError, match="stats cover 3 bands"):
+        with pytest.raises(DataError, match="stats cover 3 bands"):
             project(cube, stats, LinearProjection(kind="pca", components=np.eye(4)))
 
 

@@ -14,6 +14,7 @@ from qefilters import (
     LabelMap,
     WavelengthRange,
     evaluate_filter_bank,
+    fit_reduction_pipeline,
     init_filter_bank,
     normalize_wavelengths,
     read_cube,
@@ -231,6 +232,20 @@ class TestReduceCommand:
             assert cli(["reduce", "--config", str(path), "--out", str(out)]) == 0
             pipelines.append((out / "pipeline.json").read_bytes())
         assert pipelines[0] == pipelines[1]
+
+    @pytest.mark.parametrize("method", ["pca", "nmf"])
+    def test_unset_keys_take_the_library_defaults(self, tmp_path, method):
+        config = synth_config(tmp_path)
+        data_dir = tmp_path / "data"
+        cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
+        doc = {"method": method, "num_filters": 2, "train_data": str(data_dir / "train.hypc")}
+        path = tmp_path / "reduce.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "red"
+        assert cli(["reduce", "--config", str(path), "--out", str(out)]) == 0
+        cube, labels = read_cube(data_dir / "train.hypc")
+        direct = fit_reduction_pipeline([(cube, labels.values)], method, 2)
+        assert (out / "pipeline.json").read_bytes() == direct.to_json().encode()
 
     @pytest.mark.parametrize("method", ["pca", "nmf"])
     def test_fewer_than_one_component_writes_nothing(self, tmp_path, capsys, method):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qefilters import (
     ConfigurationError,
+    DataError,
     FilterBankParams,
-    RangeViolationError,
     WavelengthRange,
     evaluate_filter_bank,
     init_filter_bank,
@@ -58,10 +58,14 @@ class TestNormalizeWavelengths:
         assert lam[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_out_of_range_names_channel(self):
-        with pytest.raises(RangeViolationError, match="channel 1"):
+        with pytest.raises(DataError, match="channel 1"):
             normalize_wavelengths([470.0, 640.0], HYKO)
-        with pytest.raises(RangeViolationError, match="channel 0"):
+        with pytest.raises(DataError, match="channel 0"):
             normalize_wavelengths([400.0, 500.0], HYKO)
+
+    def test_nan_wavelength_is_out_of_range(self):
+        with pytest.raises(DataError, match="channel 0 at nan nm"):
+            normalize_wavelengths([np.nan, 500.0], HYKO)
 
     @given(st.lists(st.floats(470.0, 630.0), min_size=1, max_size=40))
     def test_outputs_in_unit_interval_order_preserved(self, wavelengths):

@@ -11,7 +11,6 @@ import qefilters
 from qefilters import (
     ConfigurationError,
     DataError,
-    DimensionMismatchError,
     FilterBankParams,
     Hypercube,
     WavelengthRange,
@@ -52,7 +51,7 @@ class TestHypercube:
             Hypercube(data, [500.0, 510.0])
 
     def test_wavelength_count_must_match(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="wavelength vector length 2 does not match channel count 3"):
             Hypercube(np.zeros((1, 3, 2, 2)), [500.0, 510.0])
 
 
@@ -167,7 +166,7 @@ class TestApplyFilterBank:
         cube = make_cube(4, 1, 4, 2, 2)
         bank = init_filter_bank(2, 1, HYKO, seed=3)
         resp = evaluate_filter_bank(bank, np.linspace(0, 1, 6))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="response has 6 channels but cube has 4"):
             apply_filter_bank(cube, resp)
 
     def test_requires_reduction(self):
@@ -263,5 +262,5 @@ class TestBackward:
         cube = make_cube(15, 1, 5, 2, 2)
         bank = init_filter_bank(2, 1, HYKO, seed=10)
         resp = evaluate_filter_bank(bank, normalize_wavelengths(cube.wavelengths_nm, HYKO))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match=r"upstream gradient shape \(1, 3, 2, 2\) does not match"):
             backward(cube, resp, np.zeros((1, 3, 2, 2)))

@@ -14,7 +14,6 @@ from qefilters import (
     ConfigurationError,
     ConfusionMatrix,
     DataError,
-    DimensionMismatchError,
     Hypercube,
     RegConfig,
     TrainConfig,
@@ -600,7 +599,7 @@ class TestTrainLoop:
         data = {"train": (cube, labels), "val": (cube, labels)}
         data[split] = (cube, labels[:-1])
         config = TrainConfig(learning_rate=1e-3, max_epochs=2, patience=2, batch_size=4, seed=0)
-        with pytest.raises(DimensionMismatchError, match=split):
+        with pytest.raises(DataError, match=split):
             train(data["train"], data["val"], 2, 1, config)
 
     def test_report_csv_headers(self):
