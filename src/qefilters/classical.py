@@ -91,12 +91,14 @@ def stratified_sample(
     every pixel they have; common classes are randomly subsampled, with each
     image's draw proportional to its share of that class. Deterministic under
     the seed: classes and images are visited in ascending order against a
-    single Philox stream.
+    single Philox stream. Every cube must have cube 0's ``wavelengths_nm``.
     """
     if not cubes:
         raise DataError("no cubes to sample from")
     labeled = []
-    for cube, labels in cubes:
+    for i, (cube, labels) in enumerate(cubes):
+        if not np.array_equal(cube.wavelengths_nm, cubes[0][0].wavelengths_nm):
+            raise DataError(f"cube {i}'s wavelengths_nm differ from cube 0's; the cubes must share one channel grid")
         labels = np.asarray(labels)
         expected = (cube.dims[0],) + cube.dims[2:]
         if labels.shape != expected:

@@ -8,8 +8,11 @@ to attend to exactly those bands.
 
 Pixel spectra are the class mixture evaluated at the channel wavelengths
 plus iid Gaussian noise. Each image draws from its own counter-based Philox
-substream keyed by (seed, subset, image index) in a fixed order, so images
-can be generated independently or in parallel without changing the output.
+substream keyed by (seed, subset, image index) in a fixed order, so
+``gen_synthetic`` makes its images on up to ``os.cpu_count()`` threads and
+writes the same bytes as one thread would: each worker fills whole images in
+place, drawing the noise a block of rows at a time into one small buffer of
+its own. Training stays single-threaded.
 
 ``spec_from_dict`` reads the JSON layout that ``qefilters gen-synth`` takes.
 Its ``wavelengths`` entry is a named preset (``hyko``: 15 channels over
@@ -19,7 +22,9 @@ Its ``wavelengths`` entry is a named preset (``hyko``: 15 channels over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +36,7 @@ from .projection import Hypercube
 from .rng import make_generator
 
 _CENTER_TOL = 1e-6  # nm; bump centers this close to a planted center count as planted
+_ROW_BLOCK = 16  # image rows per noise draw; each worker holds one (rows, W, C) buffer
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,12 @@ class SpectralBump:
     height: float
 
     def __post_init__(self):
-        if self.width_nm <= 0:
-            raise ConfigurationError(f"bump width must be positive, got {self.width_nm}")
+        # Written so that NaN fails each check: every comparison with NaN is false.
+        for name in ("center_nm", "height"):
+            if not -np.inf < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"bump {name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.width_nm < np.inf:
+            raise ConfigurationError(f"bump width_nm must be finite and > 0, got {self.width_nm}")
 
 
 def mixture_spectrum(bumps: Sequence[SpectralBump], wavelengths_nm: np.ndarray) -> np.ndarray:
@@ -74,8 +84,8 @@ class SynthSpec:
             raise ConfigurationError("dims must all be >= 1")
         if self.blobs_per_image < len(self.class_bumps):
             raise ConfigurationError("need at least one blob per class")
-        if self.noise_sigma < 0:
-            raise ConfigurationError("noise sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigurationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         wl = np.asarray(self.wavelengths_nm, dtype=float)
         if wl.ndim != 1 or wl.size < 2 or not np.all(np.diff(wl) > 0):
             raise ConfigurationError("wavelengths must be a strictly increasing vector")
@@ -115,6 +125,20 @@ class SynthSpec:
             )
 
 
+def _nearest_center(height: int, width: int, centers_y: np.ndarray, centers_x: np.ndarray) -> np.ndarray:
+    """(H, W) index of each pixel's nearest center; ties go to the lower index, as in np.argmin."""
+    yy = np.arange(height)[:, None]
+    xx = np.arange(width)[None, :]
+    best = (yy - centers_y[0]) ** 2 + (xx - centers_x[0]) ** 2
+    nearest = np.zeros((height, width), dtype=np.intp)
+    for i in range(1, centers_y.size):
+        d2 = (yy - centers_y[i]) ** 2 + (xx - centers_x[i]) ** 2
+        closer = d2 < best
+        nearest[closer] = i
+        np.minimum(best, d2, out=best)
+    return nearest
+
+
 def _blob_labels(gen: np.random.Generator, spec: SynthSpec) -> np.ndarray:
     """Voronoi cells of random seed points, classes assigned round-robin."""
     k = spec.num_classes
@@ -122,29 +146,50 @@ def _blob_labels(gen: np.random.Generator, spec: SynthSpec) -> np.ndarray:
     gen.shuffle(classes)
     centers_y = gen.uniform(0, spec.height, spec.blobs_per_image)
     centers_x = gen.uniform(0, spec.width, spec.blobs_per_image)
-    yy, xx = np.meshgrid(np.arange(spec.height), np.arange(spec.width), indexing="ij")
-    d2 = (yy[:, :, None] - centers_y[None, None, :]) ** 2 + (
-        xx[:, :, None] - centers_x[None, None, :]
-    ) ** 2
-    nearest = np.argmin(d2, axis=2)
-    return classes[nearest]
+    return classes[_nearest_center(spec.height, spec.width, centers_y, centers_x)]
+
+
+def _fill_images(spec: SynthSpec, means: np.ndarray, images: range, data, labels, block) -> None:
+    """Write ``images`` of the batch into ``data`` and ``labels`` in place.
+
+    The (H, W, C) noise is drawn block by block into ``block``; consecutive
+    draws continue one stream, so the values equal one full-image draw.
+    ``sigma * noise + mean`` rounds as ``mean + sigma * noise`` does.
+    """
+    for b in images:
+        gen = make_generator(spec.seed, spec.subset, b)
+        lab = _blob_labels(gen, spec)
+        labels[b] = lab
+        image = data[b]  # (C, H, W)
+        for top in range(0, spec.height, block.shape[0]):
+            rows = block[: spec.height - top]
+            gen.standard_normal(out=rows)
+            np.multiply(np.moveaxis(rows, 2, 0), spec.noise_sigma, out=image[:, top : top + rows.shape[0]])
+        for c in range(image.shape[0]):
+            image[c] += means[:, c][lab]
 
 
 def gen_synthetic(spec: SynthSpec) -> tuple[Hypercube, LabelMap]:
-    """Generate one labeled batch from a SynthSpec. Pure in the seed."""
+    """Generate one labeled batch from a SynthSpec. Pure in the seed.
+
+    Worker ``w`` of ``min(images, os.cpu_count())`` makes images ``w, w +
+    workers, ...``, so the bytes depend neither on the worker count nor on
+    the scheduling.
+    """
     wl = np.asarray(spec.wavelengths_nm, dtype=float)
     means = spec.class_means()  # (K, C)
-    num_channels = wl.size
-    data = np.empty((spec.images, num_channels, spec.height, spec.width))
+    data = np.empty((spec.images, wl.size, spec.height, spec.width))
     labels = np.empty((spec.images, spec.height, spec.width), dtype=np.int64)
-    for b in range(spec.images):
-        gen = make_generator(spec.seed, spec.subset, b)
-        lab = _blob_labels(gen, spec)
-        spectra = means[lab]  # (H, W, C)
-        noise = gen.standard_normal((spec.height, spec.width, num_channels))
-        cube_hw = spectra + spec.noise_sigma * noise
-        data[b] = np.moveaxis(cube_hw, 2, 0)
-        labels[b] = lab
+    workers = min(spec.images, os.cpu_count() or 1)
+    rows = min(_ROW_BLOCK, spec.height)
+    blocks = [np.empty((rows, spec.width, wl.size)) for _ in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        jobs = [
+            pool.submit(_fill_images, spec, means, range(w, spec.images, workers), data, labels, blocks[w])
+            for w in range(workers)
+        ]
+        for job in jobs:
+            job.result()
     return (
         Hypercube(data, wl),
         LabelMap(labels, spec.num_classes, IGNORE_LABEL),

@@ -7,7 +7,9 @@ one-hot forms of the two loss terms check the in-place ones in
 byte for byte. The blocked pixel reduction checks the head weight
 gradients, which ``qefilters.training`` sums in the same fixed blocks. The
 functional Adam step checks the in-place ``AdamW``, which must reproduce it
-byte for byte.
+byte for byte. The serial synthetic generator, one image at a time with a
+dense (H, W, blobs) distance array and one full-image noise draw, checks the
+threaded ``gen_synthetic`` byte for byte.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ import numpy as np
 
 from qefilters.errors import ConfigurationError, DataError
 from qefilters.filterbank import sigmoid
+from qefilters.rng import make_generator
 
 
 @dataclass(frozen=True)
@@ -166,3 +169,30 @@ def adam_step(
         v_hat = v / (1.0 - beta2**step)
         p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return p, m, v
+
+
+def dense_nearest_center(height, width, centers_y, centers_x):
+    """(H, W) argmin over the dense (H, W, blobs) squared-distance array."""
+    yy, xx = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    d2 = (yy[:, :, None] - centers_y[None, None, :]) ** 2 + (xx[:, :, None] - centers_x[None, None, :]) ** 2
+    return np.argmin(d2, axis=2)
+
+
+def serial_synthetic(spec):
+    """``(data, labels)`` of ``gen_synthetic(spec)``, one image after another."""
+    wl = np.asarray(spec.wavelengths_nm, dtype=float)
+    means = spec.class_means()
+    k = spec.num_classes
+    data = np.empty((spec.images, wl.size, spec.height, spec.width))
+    labels = np.empty((spec.images, spec.height, spec.width), dtype=np.int64)
+    for b in range(spec.images):
+        gen = make_generator(spec.seed, spec.subset, b)
+        classes = np.tile(np.arange(k), (spec.blobs_per_image + k - 1) // k)[: spec.blobs_per_image]
+        gen.shuffle(classes)
+        centers_y = gen.uniform(0, spec.height, spec.blobs_per_image)
+        centers_x = gen.uniform(0, spec.width, spec.blobs_per_image)
+        lab = classes[dense_nearest_center(spec.height, spec.width, centers_y, centers_x)]
+        noise = gen.standard_normal((spec.height, spec.width, wl.size))
+        data[b] = np.moveaxis(means[lab] + spec.noise_sigma * noise, 2, 0)
+        labels[b] = lab
+    return data, labels

@@ -133,6 +133,17 @@ class TestStratifiedSample:
         with pytest.raises(DataError, match=rf"labels have shape \({shape[0]}, {shape[1]}, {shape[2]}\), not .* \(2, 4, 4\)"):
             stratified_sample([(cube, labels)], 20, seed=0)
 
+    # Unchecked, 5 and 6 channels fail inside np.concatenate and two 5-channel grids pool unlike bands.
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(470.0, 630.0, 6), np.linspace(700.0, 800.0, 5)], ids=["6-channels", "other-grid"]
+    )
+    def test_channel_grid_must_match_first_cube(self, grid):
+        first = Hypercube(np.random.default_rng(11).random((1, 5, 4, 4)), np.linspace(500.0, 600.0, 5))
+        other = Hypercube(np.random.default_rng(12).random((1, grid.size, 4, 4)), grid)
+        labels = np.zeros((1, 4, 4), dtype=np.int64)
+        with pytest.raises(DataError, match="cube 2's wavelengths_nm differ from cube 0's"):
+            stratified_sample([(first, labels), (first, labels), (other, labels)], 20, seed=0)
+
 
 class TestBandStats:
     def test_constant_band_floored(self):

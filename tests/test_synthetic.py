@@ -1,9 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from qefilters import ConfigurationError, SpectralBump, SynthSpec, gen_synthetic, mixture_spectrum
+from qefilters import synthetic
 from qefilters.synthetic import spec_from_dict
 
+from oracles import dense_nearest_center, serial_synthetic
 from tasks import metameric_spec, planted3_spec
 
 
@@ -124,6 +129,73 @@ class TestGenerator:
     def test_all_classes_present(self):
         _, labels = gen_synthetic(simple_spec(noise=0.0, images=4))
         assert set(np.unique(labels.values)) == {0, 1}
+
+
+class TestFiniteSettings:
+    # Rejected when the spec is built, not after gen_synthetic has made every image.
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_noise_sigma(self, value):
+        with pytest.raises(ConfigurationError, match="noise_sigma must be finite"):
+            simple_spec(noise=value)
+
+    @pytest.mark.parametrize("field", ["center_nm", "width_nm", "height"])
+    def test_bump_field(self, field):
+        values = dict(center_nm=550.0, width_nm=15.0, height=0.3)
+        values[field] = np.nan
+        with pytest.raises(ConfigurationError, match=f"bump {field} must be finite"):
+            SpectralBump(**values)
+
+
+class TestThreadedGenerator:
+    """gen_synthetic equals the serial one-image-at-a-time generator byte for byte."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_matches_serial_oracle(self, monkeypatch, cpus, noise):
+        # 7 images over 1, 2 or 5 workers; 37 rows end in a partial noise block.
+        assert 37 % synthetic._ROW_BLOCK
+        spec = simple_spec(noise=noise, seed=3, images=7, height=37, width=11)
+        monkeypatch.setattr(synthetic.os, "cpu_count", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so overlapping writes would show
+        try:
+            cube, labels = gen_synthetic(spec)
+        finally:
+            sys.setswitchinterval(interval)
+        data, values = serial_synthetic(spec)
+        assert cube.data.tobytes() == data.tobytes()
+        assert labels.values.tobytes() == values.tobytes()
+
+    def test_voronoi_matches_dense_argmin(self):
+        gen = np.random.default_rng(4)
+        centers_y, centers_x = gen.uniform(0, 19, 9), gen.uniform(0, 23, 9)
+        np.testing.assert_array_equal(
+            synthetic._nearest_center(19, 23, centers_y, centers_x),
+            dense_nearest_center(19, 23, centers_y, centers_x),
+        )
+
+    def test_voronoi_tie_goes_to_lower_index(self):
+        # Column 2 is equidistant from both centers.
+        centers_y, centers_x = np.array([1.0, 1.0]), np.array([3.0, 1.0])
+        nearest = synthetic._nearest_center(3, 5, centers_y, centers_x)
+        np.testing.assert_array_equal(nearest, dense_nearest_center(3, 5, centers_y, centers_x))
+        assert np.all(nearest[:, 2] == 0)
+        assert np.all(nearest[:, :2] == 1) and np.all(nearest[:, 3:] == 0)
+
+    def test_failing_worker_raises_and_joins(self, monkeypatch):
+        make_generator = synthetic.make_generator
+
+        def failing(seed, subset, image):
+            if image == 3:
+                raise RuntimeError("image 3 failed")
+            return make_generator(seed, subset, image)
+
+        monkeypatch.setattr(synthetic, "make_generator", failing)
+        monkeypatch.setattr(synthetic.os, "cpu_count", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="image 3 failed"):
+            gen_synthetic(simple_spec(noise=0.1, images=6))
+        assert threading.active_count() == before
 
 
 class TestSpecFromDict:
