@@ -23,16 +23,21 @@ checks, at the offsets the file would have had, so a cube is written only
 if its bytes would parse. Reflectance is stored as float32 and widened to
 float64 in memory.
 
-:func:`read_cube` reads a file into one ``np.uint8`` buffer, and
-:func:`parse_cube` takes views of its buffer, so the only large allocations
-of a read are that buffer and the float64 cube. Finiteness is checked once,
-on the stored float32 values; the cube is not checked again when it is
-wrapped. :func:`write_cube` holds one payload-sized array, the float32 copy
-of the cube, and writes it to the file directly.
+One parser reads a stream front to back: :func:`read_cube` runs it over the
+open file and :func:`parse_cube` over ``io.BytesIO``. It checks every declared
+size against the stream's length before it reads or allocates for it, and
+reads the float32 payload ``_CHUNK_VALUES`` values at a time into one reused
+buffer, checking each chunk for finiteness and widening it straight into the
+float64 cube. So the only payload-sized allocation of a read is the cube
+itself, and the cube is not checked again when it is wrapped.
+:func:`write_cube` holds one payload-sized array, the float32 copy of the
+cube, and writes it to the file directly.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 from dataclasses import dataclass
 
@@ -46,6 +51,7 @@ MAGIC = b"HYPC"
 LABEL_MAGIC = b"LBLS"
 VERSION = 1
 _U16_MAX = 0xFFFF
+_CHUNK_VALUES = 1 << 18  # float32 payload values per read: a 1 MiB buffer
 
 
 class CubeFormatError(DataError):
@@ -66,23 +72,44 @@ class LabelMap:
 
 
 class _Cursor:
-    """Reads a byte buffer front to back; each piece is a view, not a copy."""
+    """Reads a binary stream of ``size`` bytes front to back.
 
-    def __init__(self, blob):
-        self.blob = memoryview(blob).cast("B")
+    Every read checks first that the stream holds the bytes it asks for, so
+    a corrupt header cannot trigger a huge allocation.
+    """
+
+    def __init__(self, stream, size: int):
+        self.stream = stream
+        self.size = size
         self.offset = 0
 
-    def take(self, count: int) -> memoryview:
+    def need(self, count: int) -> None:
         end = self.offset + count
-        if end > len(self.blob):
-            raise CubeFormatError(f"truncated file: expected {end} bytes, have {len(self.blob)}", self.offset)
-        out = self.blob[self.offset : end]
-        self.offset = end
+        if end > self.size:
+            raise CubeFormatError(f"truncated file: expected {end} bytes, have {self.size}", self.offset)
+
+    def read_into(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, a contiguous array, with the next ``out.nbytes`` bytes."""
+        self.need(out.nbytes)
+        view = memoryview(out).cast("B")
+        while view:
+            got = self.stream.readinto(view)
+            if not got:  # the file shrank while it was read
+                raise CubeFormatError(f"truncated file: expected {self.size} bytes, have {self.offset}", self.offset)
+            view = view[got:]
+            self.offset += got
         return out
+
+    def array(self, count: int, dtype: str) -> np.ndarray:
+        self.need(count * np.dtype(dtype).itemsize)
+        return self.read_into(np.empty(count, dtype))
+
+    def take(self, count: int) -> bytes:
+        return self.array(count, "u1").tobytes()
 
     @property
     def remaining(self) -> int:
-        return len(self.blob) - self.offset
+        return self.size - self.offset
 
 
 # The value checks, shared by the reader and the writer; each takes its field's offset.
@@ -104,11 +131,12 @@ def _check_wavelengths(wavelengths: np.ndarray, offset: int) -> None:
         raise CubeFormatError(f"wavelengths not strictly increasing at channel {bad}", offset + 8 * bad)
 
 
-def _check_reflectance(stored: np.ndarray, offset: int) -> None:
-    # ``stored`` is float32. Its min or its max is NaN or infinite exactly
-    # when some value is, and neither needs a temporary array.
+def _check_reflectance(stored: np.ndarray, offset: int, first: int = 0) -> None:
+    """``stored`` holds float32 values ``first, first + 1, ...`` of a payload at ``offset``."""
+    # Its min or its max is NaN or infinite exactly when some value is, and
+    # neither needs a temporary array.
     if not (np.isfinite(stored.min()) and np.isfinite(stored.max())):
-        bad = int(np.flatnonzero(~np.isfinite(stored))[0])
+        bad = first + int(np.flatnonzero(~np.isfinite(stored))[0])
         raise CubeFormatError(f"reflectance value {bad} is not finite", offset + 4 * bad)
 
 
@@ -126,13 +154,9 @@ def _check_labels(values: np.ndarray, num_classes: int, ignore_value: int, offse
         raise CubeFormatError(f"label {label} outside [0, {num_classes}) and not the ignore value", offset + 2 * bad)
 
 
-def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
-    """Parse the byte layout above; raises :class:`CubeFormatError`.
-
-    ``blob`` is any contiguous byte buffer, such as ``bytes`` or a ``np.uint8``
-    array. The arrays returned are copies and never alias it.
-    """
-    cur = _Cursor(blob)
+def _parse(stream, size: int) -> tuple[Hypercube, LabelMap | None]:
+    """Parse the byte layout above from a binary stream of ``size`` bytes."""
+    cur = _Cursor(stream, size)
     if cur.take(4) != MAGIC:
         raise CubeFormatError(f"bad magic, expected {MAGIC!r}", 0)
     (version,) = struct.unpack("<H", cur.take(2))
@@ -140,13 +164,19 @@ def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
         raise CubeFormatError(f"unsupported version {version}", 4)
     b, c, h, w = struct.unpack("<4I", cur.take(16))
     _check_dims((b, c, h, w), 6)
-    wavelengths = np.frombuffer(cur.take(8 * c), dtype="<f8").astype(float)
+    wavelengths = cur.array(c, "<f8").astype(float)
     _check_wavelengths(wavelengths, 22)
     data_off = cur.offset
-    stored = np.frombuffer(cur.take(4 * b * c * h * w), dtype="<f4")
-    _check_reflectance(stored, data_off)
+    count = b * c * h * w
+    cur.need(4 * count)
+    data = np.empty(count)
+    chunk = np.empty(min(count, _CHUNK_VALUES), "<f4")
+    for start in range(0, count, len(chunk)):
+        stored = cur.read_into(chunk[: count - start])
+        _check_reflectance(stored, data_off, start)
+        data[start : start + len(stored)] = stored
     # Every check Hypercube makes has been made above, on the stored values.
-    cube = Hypercube._checked(stored.astype(float).reshape(b, c, h, w), wavelengths)
+    cube = Hypercube._checked(data.reshape(b, c, h, w), wavelengths)
 
     labels = None
     if cur.remaining:
@@ -157,13 +187,23 @@ def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
         (num_classes,) = struct.unpack("<H", cur.take(2))
         _check_class_count(num_classes, k_off)
         (ignore_value,) = struct.unpack("<H", cur.take(2))
-        values = np.frombuffer(cur.take(2 * b * h * w), dtype="<u2").astype(np.int64)
+        values = cur.array(b * h * w, "<u2").astype(np.int64)
         _check_labels(values, num_classes, ignore_value, k_off + 4)
         labels = LabelMap(values.reshape(b, h, w), num_classes, ignore_value)
 
     if cur.remaining:
         raise CubeFormatError(f"{cur.remaining} unexpected trailing bytes", cur.offset)
     return cube, labels
+
+
+def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
+    """Parse the byte layout above; raises :class:`CubeFormatError`.
+
+    ``blob`` is any contiguous byte buffer, such as ``bytes`` or a ``np.uint8``
+    array. The arrays returned are copies and never alias it.
+    """
+    blob = memoryview(blob).cast("B")
+    return _parse(io.BytesIO(blob), len(blob))
 
 
 def _encode(cube: Hypercube, labels: LabelMap | None) -> tuple[bytes, np.ndarray, bytes]:
@@ -213,8 +253,9 @@ def serialize_cube(cube: Hypercube, labels: LabelMap | None = None) -> bytes:
 
 
 def read_cube(path) -> tuple[Hypercube, LabelMap | None]:
-    """:func:`parse_cube` of the file, read into one numpy buffer that it only takes views of."""
-    return parse_cube(np.fromfile(path, dtype=np.uint8))
+    """:func:`parse_cube` of the file's bytes, read from the file in chunks."""
+    with open(path, "rb", buffering=0) as f:
+        return _parse(f, os.fstat(f.fileno()).st_size)
 
 
 def write_cube(cube: Hypercube, labels: LabelMap | None, path) -> None:

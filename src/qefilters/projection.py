@@ -22,10 +22,15 @@ path, and each keeps results independent of the BLAS thread count:
   or over blocks four times longer, gave different bytes under one and two
   BLAS threads; this block size gives the same bytes at every shape tested.
 
+Per-image work runs on threads through :func:`_each_image_block`, and every
+sum across images is taken on the calling thread in image order, so the
+bytes do not depend on the number of CPUs either.
+
 ``tests/test_training.py::TestTrainLoop::test_report_independent_of_blas_threads``
 trains under one and two BLAS threads and compares the reports byte for byte,
 and ``tests/test_projection.py::TestReducePixels`` compares the bytes of
 :func:`_reduce_pixels` under one and two threads at the shapes training uses.
+``TestEachImageBlock`` there compares them under one, two and three workers.
 
 A :class:`Hypercube` checks its data when it is built, and nothing here
 checks it again. :func:`apply_filter_bank` and :func:`backward` read a
@@ -39,6 +44,9 @@ cube, skip the check.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +103,73 @@ class Hypercube:
         return cube
 
 
+# Pixels per GEMM in _reduce_pixels. A constant, not an option: it fixes the
+# summation order, and blocks four times longer gave different bytes under one
+# and two BLAS threads. Images smaller than this run on the calling thread.
+_PIXEL_BLOCK = 4096
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The package's one thread pool, made on first use and again in a forked
+# child, which has none of its threads. It may hold a thread per CPU of the
+# machine and starts them as blocks need them. ``_local.inside`` is set while
+# a thread runs a block, so a call from inside a block runs inline and never
+# waits on the pool it is running in.
+_pool: ThreadPoolExecutor | None = None
+_pool_pid: int | None = None
+_local = threading.local()
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        _pool, _pool_pid = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="qefilters"), os.getpid()
+    return _pool
+
+
+def _run_block(fn, lo: int, hi: int):
+    _local.inside = True
+    try:
+        return fn(lo, hi)
+    finally:
+        _local.inside = False
+
+
+def _each_image_block(fn, count: int, pixels: int) -> list:
+    """``[fn(lo, hi) for each block]``, in block order, over contiguous blocks of ``count`` images.
+
+    One block per usable CPU and at most one per image; the calling thread
+    runs the first. Images of fewer than ``_PIXEL_BLOCK`` pixels, a single
+    image, a single CPU and a call from inside a block run ``fn(0, count)``
+    on the calling thread. A failure is raised once every block has finished.
+
+    ``fn`` writes its images' results in place and returns what must be added
+    across images, for the caller to add in image order. It calls only
+    private helpers and numpy: a profiler that wraps the public functions
+    (``bench/spans.py``) keeps one span stack per process, so a public
+    function called from a worker would nest its span under whatever the
+    calling thread has open.
+    """
+    small = pixels < _PIXEL_BLOCK or getattr(_local, "inside", False)
+    workers = 1 if small else min(count, _usable_cpus())
+    if workers < 2:
+        return [fn(0, count)]
+    bounds = [count * w // workers for w in range(workers + 1)]
+    pool = _worker_pool()
+    jobs = [pool.submit(_run_block, fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = _run_block(fn, bounds[0], bounds[1])
+    finally:
+        wait(jobs)
+    return [first] + [job.result() for job in jobs]
+
+
 def _contract_channels(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """out[b,f,h,w] = sum_c matrix[f,c] * x[b,c,h,w], as one GEMM per image.
 
@@ -102,14 +177,13 @@ def _contract_channels(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     and may be any view (a non-contiguous one is copied by the reshape).
     """
     b, c, h, w = x.shape
-    out = matrix @ x.reshape(b, c, h * w)
+    out = np.empty((b, matrix.shape[0], h * w))
+
+    def contract(lo, hi):
+        np.matmul(matrix, x[lo:hi].reshape(hi - lo, c, h * w), out=out[lo:hi])
+
+    _each_image_block(contract, b, h * w)
     return out.reshape(b, matrix.shape[0], h, w)
-
-
-# Pixels per GEMM in _reduce_pixels. A constant, not an option: it fixes the
-# summation order, and blocks four times longer gave different bytes under one
-# and two BLAS threads.
-_PIXEL_BLOCK = 4096
 
 
 def _reduce_pixels(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -118,16 +192,25 @@ def _reduce_pixels(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``a`` is (B, F, H, W) and ``x`` is (B, C, H, W); either may be any view
     (a non-contiguous image is copied by the reshape). Adds
     ``a_blk @ x_blk.T`` over blocks of ``_PIXEL_BLOCK`` pixels, image by image
-    and block by block in order, starting from zeros.
+    and block by block in order, starting from zeros; the products are
+    computed image by image on the workers and added on the calling thread.
     """
     pixels = a.shape[2] * a.shape[3]
+
+    def products(lo, hi):
+        out = []
+        for a_img, x_img in zip(a[lo:hi], x[lo:hi]):
+            a_img = a_img.reshape(-1, pixels)
+            x_img = x_img.reshape(-1, pixels)
+            for start in range(0, pixels, _PIXEL_BLOCK):
+                stop = start + _PIXEL_BLOCK
+                out.append(a_img[:, start:stop] @ x_img[:, start:stop].T)
+        return out
+
     out = np.zeros((a.shape[1], x.shape[1]))
-    for a_img, x_img in zip(a, x):
-        a_img = a_img.reshape(-1, pixels)
-        x_img = x_img.reshape(-1, pixels)
-        for start in range(0, pixels, _PIXEL_BLOCK):
-            stop = start + _PIXEL_BLOCK
-            out += a_img[:, start:stop] @ x_img[:, start:stop].T
+    for block in _each_image_block(products, a.shape[0], pixels):
+        for product in block:
+            out += product
     return out
 
 

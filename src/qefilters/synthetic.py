@@ -9,10 +9,10 @@ to attend to exactly those bands.
 Pixel spectra are the class mixture evaluated at the channel wavelengths
 plus iid Gaussian noise. Each image draws from its own counter-based Philox
 substream keyed by (seed, subset, image index) in a fixed order, so
-``gen_synthetic`` makes its images on up to ``os.cpu_count()`` threads and
-writes the same bytes as one thread would: each worker fills whole images in
-place, drawing the noise a block of rows at a time into one small buffer of
-its own. Training stays single-threaded.
+``gen_synthetic`` makes its images on threads, one contiguous block of
+images per usable CPU (``projection._each_image_block``), and writes the same
+bytes as one thread would: each block fills whole images in place, drawing
+the noise a block of rows at a time into one small buffer of its own.
 
 ``spec_from_dict`` reads the JSON layout that ``qefilters gen-synth`` takes.
 Its ``wavelengths`` entry is a named preset (``hyko``: 15 channels over
@@ -22,8 +22,6 @@ Its ``wavelengths`` entry is a named preset (``hyko``: 15 channels over
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,11 +30,11 @@ import numpy as np
 from .cubeio import LabelMap
 from .errors import ConfigurationError, check_keys, config_value, config_values, json_typed
 from .metrics import IGNORE_LABEL
-from .projection import Hypercube
+from .projection import Hypercube, _each_image_block
 from .rng import make_generator
 
 _CENTER_TOL = 1e-6  # nm; bump centers this close to a planted center count as planted
-_ROW_BLOCK = 16  # image rows per noise draw; each worker holds one (rows, W, C) buffer
+_ROW_BLOCK = 16  # image rows per noise draw; each block of images holds one (rows, W, C) buffer
 
 
 @dataclass(frozen=True)
@@ -172,24 +170,19 @@ def _fill_images(spec: SynthSpec, means: np.ndarray, images: range, data, labels
 def gen_synthetic(spec: SynthSpec) -> tuple[Hypercube, LabelMap]:
     """Generate one labeled batch from a SynthSpec. Pure in the seed.
 
-    Worker ``w`` of ``min(images, os.cpu_count())`` makes images ``w, w +
-    workers, ...``, so the bytes depend neither on the worker count nor on
-    the scheduling.
+    Each image comes from its own substream, so the bytes depend neither on
+    how the images are split into blocks nor on the scheduling.
     """
     wl = np.asarray(spec.wavelengths_nm, dtype=float)
     means = spec.class_means()  # (K, C)
     data = np.empty((spec.images, wl.size, spec.height, spec.width))
     labels = np.empty((spec.images, spec.height, spec.width), dtype=np.int64)
-    workers = min(spec.images, os.cpu_count() or 1)
     rows = min(_ROW_BLOCK, spec.height)
-    blocks = [np.empty((rows, spec.width, wl.size)) for _ in range(workers)]
-    with ThreadPoolExecutor(workers) as pool:
-        jobs = [
-            pool.submit(_fill_images, spec, means, range(w, spec.images, workers), data, labels, blocks[w])
-            for w in range(workers)
-        ]
-        for job in jobs:
-            job.result()
+
+    def fill(lo, hi):
+        _fill_images(spec, means, range(lo, hi), data, labels, np.empty((rows, spec.width, wl.size)))
+
+    _each_image_block(fill, spec.images, spec.height * spec.width)
     return (
         Hypercube(data, wl),
         LabelMap(labels, spec.num_classes, IGNORE_LABEL),

@@ -13,25 +13,29 @@ updated in place, one step per batch; the bank table takes no decay (its
 derived quantities are bounded by construction), head arrays 1e-2, the AdamW
 default.
 
-The training loop itself is single-threaded. Head contractions over the
-feature axis are one BLAS GEMM per image (``projection._contract_channels``);
-head weight gradients, which sum over pixels, are one BLAS GEMM per fixed
-block of pixels, added in block order (``projection._reduce_pixels``).
-Neither depends on the BLAS thread count (see :mod:`qefilters.projection`),
-so identical configs and data reproduce runs bit-for-bit under any thread
-count.
+Head contractions over the feature axis are one BLAS GEMM per image
+(``projection._contract_channels``); head weight gradients, which sum over
+pixels, are one BLAS GEMM per fixed block of pixels, added in block order
+(``projection._reduce_pixels``). The per-image work of a step (the batch
+copy, the contractions, the softmax, the loss terms and the argmax) runs on
+threads through ``projection._each_image_block``, and every sum across
+images is taken on the calling thread in image order. None of this depends
+on the BLAS thread count or the worker count (see
+:mod:`qefilters.projection`), so identical configs and data reproduce runs
+bit-for-bit under any thread count.
 
 Validation and allocation happen at fixed places. A cube is checked once,
 when it is built or read. ``train`` allocates one data buffer and one label
 buffer for a batch; each step copies its images into them and wraps the
 filled part in ``Hypercube._checked``, which checks nothing again. A step
 allocates its activations and, in the loss, one softmax array per term,
-which the term turns into its gradient in place by gathering and scattering
-at the label (Dice works image by image in one image-sized array); the
-heads add biases and apply ``tanh`` in place. The bank and its regularizers
-are evaluated once at the start and once after every optimizer step; the
-next batch, the epoch-end mIoU passes and the epoch record all reuse that
-evaluation.
+which the term turns into its gradient in place: cross-entropy gathers and
+scatters at the label, and Dice selects each pixel's per-class gradient with
+a boolean one-hot, image by image in one image-sized array per block of
+images. The heads add biases and apply ``tanh`` in place. The bank and
+its regularizers are evaluated once at the start and once after every
+optimizer step; the next batch, the epoch-end mIoU passes and the epoch
+record all reuse that evaluation.
 """
 
 from __future__ import annotations
@@ -51,7 +55,14 @@ from .filterbank import (
     normalize_wavelengths,
 )
 from .metrics import IGNORE_LABEL, ConfusionMatrix, _check_integer_labels, compute_metrics
-from .projection import Hypercube, _contract_channels, _reduce_pixels, apply_filter_bank, backward
+from .projection import (
+    Hypercube,
+    _contract_channels,
+    _each_image_block,
+    _reduce_pixels,
+    apply_filter_bank,
+    backward,
+)
 from .regularization import RegConfig, total_reg
 from .rng import make_generator
 
@@ -140,11 +151,22 @@ def make_head(kind: str, num_classes: int, num_features: int, rng, hidden: int =
 # Losses
 # ---------------------------------------------------------------------------
 
+def _pixels(array: np.ndarray) -> int:
+    """Pixels of one image of a (B, ..., H, W) array."""
+    return array.shape[-2] * array.shape[-1]
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the class axis, computed in one new array."""
-    p = logits - logits.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p = np.empty_like(logits)
+
+    def softmax(lo, hi):
+        block = p[lo:hi]
+        np.subtract(logits[lo:hi], logits[lo:hi].max(axis=1, keepdims=True), out=block)
+        np.exp(block, out=block)
+        block /= block.sum(axis=1, keepdims=True)
+
+    _each_image_block(softmax, len(p), _pixels(p))
     return p
 
 
@@ -188,21 +210,33 @@ def weighted_cross_entropy(
         raise DataError("all pixels are ignored; cross-entropy undefined")
 
     probs = _softmax(logits)
-    pix_w = weights[target]
-    pix_w *= mask  # zero where ignored
+    pix_w = np.empty(target.shape)
+    p_y = np.empty(target.shape)
+    weighted_log_p = np.empty(target.shape)
+
+    def log_likelihood(lo, hi):
+        w, log_p = pix_w[lo:hi], weighted_log_p[lo:hi]
+        np.take(weights, target[lo:hi], out=w, mode="clip")  # the labels are checked
+        w *= mask[lo:hi]  # zero where ignored
+        p_y[lo:hi] = np.take_along_axis(probs[lo:hi], target[lo:hi], axis=1)
+        np.maximum(p_y[lo:hi], np.finfo(float).tiny, out=log_p)
+        np.log(log_p, out=log_p)
+        log_p *= w
+
+    _each_image_block(log_likelihood, len(probs), _pixels(probs))
     w_total = pix_w.sum()
     if w_total <= 0:
         raise ConfigurationError("total class weight over present labels is zero")
-    p_y = np.take_along_axis(probs, target, axis=1)
-    weighted_log_p = np.maximum(p_y, np.finfo(float).tiny)
-    np.log(weighted_log_p, out=weighted_log_p)
-    weighted_log_p *= pix_w
     value = float(-np.sum(weighted_log_p) / w_total)
+
     # (probs - onehot) * pix_w / w_total, built in the softmax's array
-    p_y -= mask
-    np.put_along_axis(probs, target, p_y, axis=1)
-    pix_w /= w_total
-    probs *= pix_w
+    def gradient(lo, hi):
+        p_y[lo:hi] -= mask[lo:hi]
+        np.put_along_axis(probs[lo:hi], target[lo:hi], p_y[lo:hi], axis=1)
+        pix_w[lo:hi] /= w_total
+        probs[lo:hi] *= pix_w[lo:hi]
+
+    _each_image_block(gradient, len(probs), _pixels(probs))
     return value, probs
 
 
@@ -217,19 +251,31 @@ def soft_dice(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
     if not mask.any():
         raise DataError("all pixels are ignored; Dice undefined")
     p = _softmax(logits)
-    p *= mask  # zero where ignored
+    classes = np.arange(num_classes)[:, None, None]
+    onehot = np.empty(p.shape, dtype=bool)  # labelled pixels of each class
 
     # Image by image, so the temporaries stay small; ``image`` holds one
-    # image's values at a time. Adding each image's plane sums in image order
-    # adds the same values in the same order as one np.sum over the
-    # (B, H, W) axes, which the dense oracle in the tests checks.
-    onehot = (target == np.arange(num_classes)[:, None, None]) & mask
-    image = np.empty(p.shape[1:])
+    # image's values at a time. Adding each image's plane sums in image order,
+    # on the calling thread, adds the same values in the same order as one
+    # np.sum over the (B, H, W) axes, which the dense oracle in the tests
+    # checks.
+    def plane_sums(lo, hi):
+        p[lo:hi] *= mask[lo:hi]  # zero where ignored
+        np.equal(target[lo:hi], classes, out=onehot[lo:hi])
+        onehot[lo:hi] &= mask[lo:hi]
+        image = np.empty(p.shape[1:])
+        sums = []
+        for p_img, g_img in zip(p[lo:hi], onehot[lo:hi]):
+            overlap = np.sum(np.multiply(p_img, g_img, out=image), axis=(1, 2))
+            sums.append((overlap, np.sum(np.add(p_img, g_img, out=image), axis=(1, 2))))
+        return sums
+
     overlap = np.zeros(num_classes)
     total = np.zeros(num_classes)
-    for b in range(len(p)):
-        overlap += np.sum(np.multiply(p[b], onehot[b], out=image), axis=(1, 2))
-        total += np.sum(np.add(p[b], onehot[b], out=image), axis=(1, 2))
+    for block in _each_image_block(plane_sums, len(p), _pixels(p)):
+        for image_overlap, image_total in block:
+            overlap += image_overlap
+            total += image_total
     denom = total + 1.0
     dice_k = (2.0 * overlap + 1.0) / denom
     value = float(1.0 - dice_k.mean())
@@ -238,14 +284,18 @@ def soft_dice(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
     # then through the softmax Jacobian per pixel, into p's array. p = 0
     # keeps ignored pixels at zero gradient.
     through_denom = (2.0 * overlap + 1.0) / denom**2
-    at_miss = -(2.0 * 0.0 / denom - through_denom) / num_classes
-    at_hit = -(2.0 * 1.0 / denom - through_denom) / num_classes
-    for b in range(len(p)):
-        image[...] = at_miss[:, None, None]
-        label = target[b]
-        np.put_along_axis(image, label, np.where(mask[b], at_hit[label], at_miss[label]), axis=0)
-        image -= np.sum(image * p[b], axis=0, keepdims=True)
-        p[b] *= image
+    at_miss = (-(2.0 * 0.0 / denom - through_denom) / num_classes)[:, None, None]
+    at_hit = (-(2.0 * 1.0 / denom - through_denom) / num_classes)[:, None, None]
+
+    def gradient(lo, hi):
+        image = np.empty(p.shape[1:])
+        for p_img, g_img in zip(p[lo:hi], onehot[lo:hi]):
+            np.copyto(image, at_miss)
+            np.copyto(image, at_hit, where=g_img)
+            image -= np.sum(image * p_img, axis=0, keepdims=True)
+            p_img *= image
+
+    _each_image_block(gradient, len(p), _pixels(p))
     return value, p
 
 
@@ -406,13 +456,18 @@ def _argmax_classes(logits: np.ndarray) -> np.ndarray:
     A later class wins only when strictly greater, so ties go to the lower
     class index, as with ``np.argmax``.
     """
-    best = logits[:, 0].copy()
-    pred = np.zeros(best.shape, dtype=np.intp)
-    better = np.empty(best.shape, dtype=bool)
-    for k in range(1, logits.shape[1]):
-        np.greater(logits[:, k], best, out=better)
-        pred[better] = k
-        np.maximum(best, logits[:, k], out=best)
+    pred = np.zeros((len(logits),) + logits.shape[2:], dtype=np.intp)
+
+    def argmax(lo, hi):
+        block, block_pred = logits[lo:hi], pred[lo:hi]
+        best = block[:, 0].copy()
+        better = np.empty(best.shape, dtype=bool)
+        for k in range(1, block.shape[1]):
+            np.greater(block[:, k], best, out=better)
+            block_pred[better] = k
+            np.maximum(best, block[:, k], out=best)
+
+    _each_image_block(argmax, len(logits), _pixels(logits))
     return pred
 
 
@@ -529,11 +584,15 @@ def train(
         for start in range(0, num_images, batch):
             idx = order[start : start + batch]
             batch_data, batch_labels = data_buffer[: len(idx)], label_buffer[: len(idx)]
+
             # mode="clip" lets np.take write straight into ``out``, where the
             # default mode="raise" goes through a temporary copy; ``idx``
             # indexes the split's own images.
-            np.take(train_cube.data, idx, axis=0, out=batch_data, mode="clip")
-            np.take(train_labels, idx, axis=0, out=batch_labels, mode="clip")
+            def load(lo, hi):
+                np.take(train_cube.data, idx[lo:hi], axis=0, out=batch_data[lo:hi], mode="clip")
+                np.take(train_labels, idx[lo:hi], axis=0, out=batch_labels[lo:hi], mode="clip")
+
+            _each_image_block(load, len(idx), _pixels(train_labels))
             batch_cube = Hypercube._checked(batch_data, wl)
             seg, grads = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, epoch)
             epoch_seg.append(seg)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qefilters import DataError, Hypercube
+from qefilters import DataError, Hypercube, cubeio
 from qefilters.cubeio import CubeFormatError, LabelMap, parse_cube, read_cube, serialize_cube, write_cube
 
 
@@ -159,6 +159,57 @@ class TestParseErrors:
             parse_cube(bytes(blob))
 
 
+class TestChunkedRead:
+    """The payload is read ``_CHUNK_VALUES`` values at a time; here 7 of a cube's 180."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(cubeio, "_CHUNK_VALUES", 7)
+
+    @staticmethod
+    def written(tmp_path, with_labels=True):
+        cube, labels = sample_cube(seed=6, b=3, c=5, h=4, w=3, with_labels=with_labels)
+        assert cube.data.size % cubeio._CHUNK_VALUES  # a partial last chunk
+        path = tmp_path / "cube.hypc"
+        write_cube(cube, labels, path)
+        return cube, labels, path
+
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_read_and_parse_give_the_written_cube(self, tmp_path, with_labels):
+        cube, labels, path = self.written(tmp_path, with_labels)
+        for got, got_labels in (read_cube(path), parse_cube(path.read_bytes())):
+            assert got.data.dtype == np.float64 and got.data.flags.c_contiguous
+            assert got.data.tobytes() == cube.data.tobytes()
+            if with_labels:
+                np.testing.assert_array_equal(got_labels.values, labels.values)
+            else:
+                assert got_labels is None
+
+    @pytest.mark.parametrize("index", [0, 6, 7, 100, 179])
+    def test_non_finite_value_named_in_any_chunk(self, tmp_path, index):
+        _, _, path = self.written(tmp_path)
+        blob = bytearray(path.read_bytes())
+        at = 22 + 8 * 5 + 4 * index
+        blob[at : at + 4] = np.array([np.inf], dtype="<f4").tobytes()
+        path.write_bytes(blob)
+        for parse in (lambda: read_cube(path), lambda: parse_cube(bytes(blob))):
+            with pytest.raises(CubeFormatError, match=f"reflectance value {index} is not finite") as err:
+                parse()
+            assert err.value.offset == at
+
+    # 2**32 - 1 channels would need 32 GiB of wavelengths, and 2**31 images
+    # a payload of 360 GiB: the file's size rejects both before any allocation.
+    @pytest.mark.parametrize("field, value, offset", [(10, 2**32 - 1, 22), (6, 2**31, 22 + 8 * 5)])
+    def test_declared_sizes_checked_against_the_file(self, tmp_path, field, value, offset):
+        _, _, path = self.written(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[field : field + 4] = value.to_bytes(4, "little")
+        path.write_bytes(blob)
+        with pytest.raises(CubeFormatError, match=f"truncated file: .* have {len(blob)}") as err:
+            read_cube(path)
+        assert err.value.offset == offset
+
+
 class TestFuzzSmoke:
     @staticmethod
     def mutate_and_parse(data, buffer):
@@ -179,7 +230,7 @@ class TestFuzzSmoke:
     def test_single_byte_mutations_classified(self, data):
         self.mutate_and_parse(data, bytes)
 
-    # read_cube hands parse_cube a np.uint8 array rather than bytes.
+    # parse_cube takes any contiguous byte buffer, a np.uint8 array too.
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_single_byte_mutations_classified_in_uint8_buffer(self, data):

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,9 @@ from qefilters import (
     init_filter_bank,
     normalize_wavelengths,
 )
+from qefilters import projection
 from qefilters.filterbank import CENTROID
-from qefilters.projection import _contract_channels, _reduce_pixels
+from qefilters.projection import _PIXEL_BLOCK, _contract_channels, _each_image_block, _reduce_pixels
 
 HYKO = WavelengthRange(470.0, 630.0)
 
@@ -133,6 +136,116 @@ class TestReducePixels:
         assert len(outputs[0]) == 6
         for shape_index, (one, two) in enumerate(zip(*outputs)):
             assert one == two, shape_index
+
+
+class TestEachImageBlock:
+    @staticmethod
+    def use_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(projection, "_usable_cpus", lambda: cpus)
+
+    def test_contiguous_blocks_in_block_order(self, monkeypatch):
+        self.use_cpus(monkeypatch, 3)
+        assert _each_image_block(lambda lo, hi: (lo, hi), 5, _PIXEL_BLOCK) == [(0, 1), (1, 3), (3, 5)]
+        self.use_cpus(monkeypatch, 8)  # at most one block per image
+        assert _each_image_block(lambda lo, hi: (lo, hi), 2, _PIXEL_BLOCK) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "cpus, count, pixels",
+        [
+            pytest.param(2, 4, _PIXEL_BLOCK - 1, id="small-images"),
+            pytest.param(2, 1, _PIXEL_BLOCK, id="one-image"),
+            pytest.param(1, 4, _PIXEL_BLOCK, id="one-cpu"),
+        ],
+    )
+    def test_whole_batch_on_the_calling_thread(self, monkeypatch, cpus, count, pixels):
+        self.use_cpus(monkeypatch, cpus)
+        calls = []
+        _each_image_block(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), count, pixels)
+        assert calls == [(0, count, threading.get_ident())]
+
+    @pytest.mark.parametrize("failing", [0, 2], ids=["calling-thread", "pool"])
+    def test_failure_raised_after_every_block_finished(self, monkeypatch, failing):
+        self.use_cpus(monkeypatch, 3)
+        finished = []
+
+        def block(lo, hi):
+            try:
+                if lo == failing:
+                    raise RuntimeError(f"block {lo} failed")
+                time.sleep(0.05)
+            finally:
+                finished.append(lo)
+
+        with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            _each_image_block(block, 3, _PIXEL_BLOCK)
+        assert sorted(finished) == [0, 1, 2]
+
+    def test_call_from_inside_a_block_runs_inline(self, monkeypatch):
+        self.use_cpus(monkeypatch, 2)
+
+        def inner(lo, hi):
+            return lo, hi, threading.get_ident()
+
+        def outer(lo, hi):
+            return threading.get_ident(), _each_image_block(inner, 4, _PIXEL_BLOCK)
+
+        results = _each_image_block(outer, 2, _PIXEL_BLOCK)
+        assert results[0][0] == threading.get_ident() != results[1][0]
+        for ident, inner_results in results:
+            assert inner_results == [(0, 4, ident)]
+        # Outside a block, the pool is used again.
+        assert len(_each_image_block(inner, 4, _PIXEL_BLOCK)) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        # The child inherits the pool's idle thread as a count, not as a
+        # thread; a job queued on the inherited pool would never run.
+        self.use_cpus(monkeypatch, 2)
+        assert len(_each_image_block(lambda lo, hi: None, 2, _PIXEL_BLOCK)) == 2
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if _each_image_block(lambda lo, hi: (lo, hi), 2, _PIXEL_BLOCK) == [(0, 1), (1, 2)] else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(projection.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(projection.os, "cpu_count", lambda: 8)
+        assert projection._usable_cpus() == 1
+        monkeypatch.delattr(projection.os, "sched_getaffinity")
+        assert projection._usable_cpus() == 8
+        monkeypatch.setattr(projection.os, "cpu_count", lambda: None)
+        assert projection._usable_cpus() == 1
+
+    # 5 images of 70 x 70 pixels: one full pixel block and a remainder each,
+    # split 3 + 2 over two workers and 1 + 2 + 2 over three.
+    def test_contractions_bytes_independent_of_workers(self, under_workers):
+        rng = np.random.default_rng(12)
+        x = rng.random((5, 25, 70, 70))
+        a = rng.normal(size=(5, 3, 70, 70))
+        matrix = rng.normal(size=(25, 3))
+
+        def run():
+            return b"".join(
+                [
+                    _contract_channels(matrix.T, x).tobytes(),
+                    _contract_channels(matrix[::2].T, x[:, ::2]).tobytes(),
+                    _reduce_pixels(a, x).tobytes(),
+                    _reduce_pixels(a[[4, 0, 2]], x[[1, 3, 0], 5:]).tobytes(),
+                ]
+            )
+
+        results = under_workers(run)
+        assert all(r == results[0] for r in results)
 
 
 class TestApplyFilterBank:

@@ -1,11 +1,10 @@
 import sys
-import threading
 
 import numpy as np
 import pytest
 
 from qefilters import ConfigurationError, SpectralBump, SynthSpec, gen_synthetic, mixture_spectrum
-from qefilters import synthetic
+from qefilters import projection, synthetic
 from qefilters.synthetic import spec_from_dict
 
 from oracles import dense_nearest_center, serial_synthetic
@@ -152,10 +151,11 @@ class TestThreadedGenerator:
     @pytest.mark.parametrize("cpus", [1, 2, 5])
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_matches_serial_oracle(self, monkeypatch, cpus, noise):
-        # 7 images over 1, 2 or 5 workers; 37 rows end in a partial noise block.
-        assert 37 % synthetic._ROW_BLOCK
-        spec = simple_spec(noise=noise, seed=3, images=7, height=37, width=11)
-        monkeypatch.setattr(synthetic.os, "cpu_count", lambda: cpus)
+        # 7 images over 1, 2 or 5 workers; 67 rows end in a partial noise
+        # block, and 67 x 64 pixels are enough for the images to be split.
+        assert 67 % synthetic._ROW_BLOCK and 67 * 64 >= projection._PIXEL_BLOCK
+        spec = simple_spec(noise=noise, seed=3, images=7, height=67, width=64)
+        monkeypatch.setattr(projection, "_usable_cpus", lambda: cpus)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so overlapping writes would show
         try:
@@ -183,19 +183,28 @@ class TestThreadedGenerator:
         assert np.all(nearest[:, :2] == 1) and np.all(nearest[:, 3:] == 0)
 
     def test_failing_worker_raises_and_joins(self, monkeypatch):
-        make_generator = synthetic.make_generator
+        # Images 0-2 run on the calling thread and 3-5 on the pool; the
+        # failure of image 1 is raised only after the pool's block is done.
+        make_generator, fill_images = synthetic.make_generator, synthetic._fill_images
+        finished = []
 
         def failing(seed, subset, image):
-            if image == 3:
-                raise RuntimeError("image 3 failed")
+            if image == 1:
+                raise RuntimeError("image 1 failed")
             return make_generator(seed, subset, image)
 
+        def recorded(spec, means, images, *rest):
+            try:
+                fill_images(spec, means, images, *rest)
+            finally:
+                finished.append(images)
+
         monkeypatch.setattr(synthetic, "make_generator", failing)
-        monkeypatch.setattr(synthetic.os, "cpu_count", lambda: 2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="image 3 failed"):
-            gen_synthetic(simple_spec(noise=0.1, images=6))
-        assert threading.active_count() == before
+        monkeypatch.setattr(synthetic, "_fill_images", recorded)
+        monkeypatch.setattr(projection, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="image 1 failed"):
+            gen_synthetic(simple_spec(noise=0.1, images=6, height=64, width=64))
+        assert sorted(finished, key=lambda images: images.start) == [range(0, 3), range(3, 6)]
 
 
 class TestSpecFromDict:

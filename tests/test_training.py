@@ -20,6 +20,7 @@ from qefilters import (
     TrainingDivergedError,
     compute_metrics,
     evaluate_filter_bank,
+    gen_synthetic,
     init_filter_bank,
     inverse_frequency_weights,
     normalize_wavelengths,
@@ -171,6 +172,47 @@ class TestArgmaxClasses:
 
     def test_single_class(self):
         np.testing.assert_array_equal(_argmax_classes(np.ones((2, 1, 3, 3))), np.zeros((2, 3, 3)))
+
+
+class TestWorkerCount:
+    """The per-image kernels and a whole run write the same bytes under any worker count."""
+
+    # 5 images of 70 x 70 pixels, split 3 + 2 over two workers and 1 + 2 + 2
+    # over three, with unlabelled pixels and uneven class weights.
+    def test_loss_terms_and_argmax(self, under_workers):
+        rng = np.random.default_rng(21)
+        logits = 3.0 * rng.normal(size=(5, 4, 70, 70))
+        labels = rng.integers(0, 4, (5, 70, 70))
+        labels[1, 10:30] = IGNORE_LABEL
+        labels[3, :, :5] = IGNORE_LABEL
+        weights = rng.random(4) * 3.0
+
+        def run():
+            ce, ce_grad = weighted_cross_entropy(logits, labels, weights)
+            dice, dice_grad = soft_dice(logits, labels)
+            value, grad = seg_loss(logits, labels, weights)
+            values = np.array([ce, dice, value]).tobytes()
+            return values + ce_grad.tobytes() + dice_grad.tobytes() + grad.tobytes() + _argmax_classes(logits).tobytes()
+
+        results = under_workers(run)
+        assert all(r == results[0] for r in results)
+
+    # 5 training images in batches of 4 leave a last batch of one image; 64 x
+    # 64 pixels are just enough for a batch to be split.
+    @pytest.mark.parametrize("head", ["linear", "mlp"])
+    def test_train_and_predict(self, under_workers, head):
+        (tc, tl), (vc, vl) = (gen_synthetic(replace(planted3_spec(subset, images), height=64, width=64))
+                              for subset, images in ((0, 5), (1, 3)))
+        config = replace(planted3_config(0, head), max_epochs=3, patience=3)
+
+        def run():
+            report = train((tc, tl.values), (vc, vl.values), 3, 1, config)
+            return "".join([report.to_json(), report.epochs_csv(), report.centroids_csv()]).encode() + (
+                predict(report, vc).tobytes()
+            )
+
+        results = under_workers(run, first_last=False)
+        assert all(r == results[0] for r in results)
 
 
 class TestHeadWeightGradients:
