@@ -5,7 +5,8 @@ the package does not import this module. Subcommands: gen-synth, train,
 reduce, eval, export-filters. Each of gen-synth, train and reduce reads a
 JSON config whose ``seed`` key is the one way to reseed it. Exit codes:
 0 success, 1 usage error, 2 data/configuration error, 3 training divergence.
-All artifacts land under --out.
+All artifacts land under --out, each written to a temp file beside it and
+moved into place, so a failed write leaves an earlier file as it was.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -52,6 +54,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _write_atomic(path: Path, write) -> None:
+    """``write(temp)`` on a temp file beside ``path``, then move it onto ``path``.
+
+    If either raises, the temp file is removed and ``path`` keeps what it held.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(temp)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def export_filters(
     params: FilterBankParams,
     channel_wavelengths_nm,
@@ -81,7 +97,7 @@ def export_filters(
     writer.writerow(["wavelength_nm"] + [f"filter_{f + 1}" for f in range(params.num_filters)])
     for i, wl in enumerate(wavelengths):
         writer.writerow([repr(float(wl))] + [repr(float(weights[f, i])) for f in range(len(weights))])
-    Path(path).write_text(buf.getvalue())
+    _write_atomic(Path(path), lambda temp: temp.write_text(buf.getvalue()))
 
 
 def _load_json(path) -> dict:
@@ -135,7 +151,8 @@ def _cmd_gen_synth(args) -> int:
     specs = _synth_specs(_load_json(args.config))
     out = _out_dir(args.out)
     for name, spec in specs.items():
-        write_cube(*gen_synthetic(spec), out / f"{name}.hypc")
+        cube, labels = gen_synthetic(spec)
+        _write_atomic(out / f"{name}.hypc", lambda temp: write_cube(cube, labels, temp))
         print(f"wrote {out / (name + '.hypc')}")
     return 0
 
@@ -194,10 +211,9 @@ def _cmd_train(args) -> int:
         num_classes=max(train_classes, val_classes),
     )
     out = _out_dir(args.out)
-    (out / "report.json").write_text(report.to_json())
-    (out / "epochs.csv").write_text(report.epochs_csv())
-    (out / "centroids.csv").write_text(report.centroids_csv())
-    (out / "filters.json").write_text(report.params.to_json())
+    for name, text in (("report.json", report.to_json()), ("epochs.csv", report.epochs_csv()),
+                       ("centroids.csv", report.centroids_csv()), ("filters.json", report.params.to_json())):
+        _write_atomic(out / name, lambda temp: temp.write_text(text))
     print(
         f"best val mIoU {report.best_val_miou:.2f} at epoch {report.best_epoch} "
         f"({len(report.records)} epochs run)"
@@ -223,7 +239,7 @@ def _cmd_reduce(args) -> int:
     fitting = {"target_total" if key == "target_samples" else key: value for key, value in options.items()}
     pipeline = fit_reduction_pipeline([(cube, labels)], method, num_filters, **fitting)
     out = _out_dir(args.out)
-    (out / "pipeline.json").write_text(pipeline.to_json())
+    _write_atomic(out / "pipeline.json", lambda temp: temp.write_text(pipeline.to_json()))
     print(f"wrote {out / 'pipeline.json'}")
     for name, path in outputs.items():
         src_cube, src_labels = read_cube(path)
@@ -231,7 +247,7 @@ def _cmd_reduce(args) -> int:
         # Reduced channels have no physical wavelengths; store component indices.
         reduced_cube = Hypercube(reduced, np.arange(1.0, num_filters + 1.0))
         dest = out / name
-        write_cube(reduced_cube, src_labels, dest)
+        _write_atomic(dest, lambda temp: write_cube(reduced_cube, src_labels, temp))
         print(f"wrote {dest}")
     return 0
 
@@ -250,7 +266,8 @@ def _cmd_eval(args) -> int:
     print(json.dumps(report.to_dict(), indent=2))
     if args.out:
         out = _out_dir(args.out)
-        (out / "metrics.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        text = json.dumps(report.to_dict(), indent=2) + "\n"
+        _write_atomic(out / "metrics.json", lambda temp: temp.write_text(text))
     return 0
 
 

@@ -24,7 +24,11 @@ path, and each keeps results independent of the BLAS thread count:
 
 Per-image work runs on threads through :func:`_each_image_block`, and every
 sum across images is taken on the calling thread in image order, so the
-bytes do not depend on the number of CPUs either.
+bytes do not depend on the number of CPUs either. Each caller states its
+work, the values one image's pass reads and writes (:func:`_image_values`),
+and a batch goes to the pool only when that work reaches ``_POOL_WORK``:
+the cube-sized kernels at 64 x 64 pixels split, the head and loss kernels
+there run inline, and every kernel at 256 x 256 splits.
 
 ``tests/test_training.py::TestTrainLoop::test_report_independent_of_blas_threads``
 trains under one and two BLAS threads and compares the reports byte for byte,
@@ -44,6 +48,7 @@ cube, skip the check.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -105,8 +110,16 @@ class Hypercube:
 
 # Pixels per GEMM in _reduce_pixels. A constant, not an option: it fixes the
 # summation order, and blocks four times longer gave different bytes under one
-# and two BLAS threads. Images smaller than this run on the calling thread.
+# and two BLAS threads.
 _PIXEL_BLOCK = 4096
+
+# The work per image (see _image_values) below which a batch runs on the
+# calling thread. A constant, not an option. Timed on 1 and 2 workers with
+# 4 images and one BLAS thread, the head and loss kernels at 64 x 64 pixels
+# (work 2**14 to 2**16) lost time on the pool and contractions near 2**17
+# broke even; the cube contraction at 64 x 64 (2**19), the contractions at
+# 2**18 and up and the loss at 256 x 256 (2**18.3) gained.
+_POOL_WORK = 1 << 18
 
 
 def _usable_cpus() -> int:
@@ -141,13 +154,20 @@ def _run_block(fn, lo: int, hi: int):
         _local.inside = False
 
 
-def _each_image_block(fn, count: int, pixels: int) -> list:
+def _image_values(*arrays: np.ndarray) -> int:
+    """Values one image of each (B, ...) array holds, added: the work of a per-image pass over them."""
+    return sum(math.prod(a.shape[1:]) for a in arrays)
+
+
+def _each_image_block(fn, count: int, work: int) -> list:
     """``[fn(lo, hi) for each block]``, in block order, over contiguous blocks of ``count`` images.
 
     One block per usable CPU and at most one per image; the calling thread
-    runs the first. Images of fewer than ``_PIXEL_BLOCK`` pixels, a single
-    image, a single CPU and a call from inside a block run ``fn(0, count)``
-    on the calling thread. A failure is raised once every block has finished.
+    runs the first. ``work`` is what one image's pass reads and writes: its
+    pixels times the (H, W) planes ``fn`` touches (:func:`_image_values`).
+    Work below ``_POOL_WORK``, a single image, a single CPU and a call from
+    inside a block run ``fn(0, count)`` on the calling thread. A failure is
+    raised once every block has finished.
 
     ``fn`` writes its images' results in place and returns what must be added
     across images, for the caller to add in image order. It calls only
@@ -156,8 +176,8 @@ def _each_image_block(fn, count: int, pixels: int) -> list:
     function called from a worker would nest its span under whatever the
     calling thread has open.
     """
-    small = pixels < _PIXEL_BLOCK or getattr(_local, "inside", False)
-    workers = 1 if small else min(count, _usable_cpus())
+    inline = work < _POOL_WORK or getattr(_local, "inside", False)
+    workers = 1 if inline else min(count, _usable_cpus())
     if workers < 2:
         return [fn(0, count)]
     bounds = [count * w // workers for w in range(workers + 1)]
@@ -182,7 +202,7 @@ def _contract_channels(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     def contract(lo, hi):
         np.matmul(matrix, x[lo:hi].reshape(hi - lo, c, h * w), out=out[lo:hi])
 
-    _each_image_block(contract, b, h * w)
+    _each_image_block(contract, b, _image_values(x, out))
     return out.reshape(b, matrix.shape[0], h, w)
 
 
@@ -208,14 +228,14 @@ def _reduce_pixels(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         return out
 
     out = np.zeros((a.shape[1], x.shape[1]))
-    for block in _each_image_block(products, a.shape[0], pixels):
+    for block in _each_image_block(products, a.shape[0], _image_values(a, x)):
         for product in block:
             out += product
     return out
 
 
-def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> np.ndarray:
-    """Contract the spectral axis: Y[b,f,h,w] = sum_c weights[f,c] * X[b,c,h,w]."""
+def _check_response(response: FilterResponseMatrix, cube: Hypercube) -> None:
+    """Raise unless ``response`` can reduce ``cube``: the same channels, and fewer filters than channels."""
     num_filters, num_channels = response.weights.shape
     if num_channels != cube.dims[1]:
         raise DataError(
@@ -225,6 +245,11 @@ def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> np.nda
         raise ConfigurationError(
             f"reduction requires fewer filters than channels (F={num_filters}, C={num_channels})"
         )
+
+
+def apply_filter_bank(cube: Hypercube, response: FilterResponseMatrix) -> np.ndarray:
+    """Contract the spectral axis: Y[b,f,h,w] = sum_c weights[f,c] * X[b,c,h,w]."""
+    _check_response(response, cube)
     return _contract_channels(response.weights, cube.data)
 
 

@@ -10,7 +10,8 @@ Pixel spectra are the class mixture evaluated at the channel wavelengths
 plus iid Gaussian noise. Each image draws from its own counter-based Philox
 substream keyed by (seed, subset, image index) in a fixed order, so
 ``gen_synthetic`` makes its images on threads, one contiguous block of
-images per usable CPU (``projection._each_image_block``), and writes the same
+images per usable CPU once an image holds enough values
+(``projection._each_image_block``), and writes the same
 bytes as one thread would: each block fills whole images in place, drawing
 the noise a block of rows at a time into one small buffer of its own.
 
@@ -30,7 +31,7 @@ import numpy as np
 from .cubeio import LabelMap
 from .errors import ConfigurationError, check_keys, config_value, config_values, json_typed
 from .metrics import IGNORE_LABEL
-from .projection import Hypercube, _each_image_block
+from .projection import Hypercube, _each_image_block, _image_values
 from .rng import make_generator
 
 _CENTER_TOL = 1e-6  # nm; bump centers this close to a planted center count as planted
@@ -182,7 +183,7 @@ def gen_synthetic(spec: SynthSpec) -> tuple[Hypercube, LabelMap]:
     def fill(lo, hi):
         _fill_images(spec, means, range(lo, hi), data, labels, np.empty((rows, spec.width, wl.size)))
 
-    _each_image_block(fill, spec.images, spec.height * spec.width)
+    _each_image_block(fill, spec.images, _image_values(data, labels))
     return (
         Hypercube(data, wl),
         LabelMap(labels, spec.num_classes, IGNORE_LABEL),

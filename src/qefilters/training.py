@@ -17,12 +17,16 @@ Head contractions over the feature axis are one BLAS GEMM per image
 (``projection._contract_channels``); head weight gradients, which sum over
 pixels, are one BLAS GEMM per fixed block of pixels, added in block order
 (``projection._reduce_pixels``). The per-image work of a step (the batch
-copy, the contractions, the softmax, the loss terms and the argmax) runs on
-threads through ``projection._each_image_block``, and every sum across
-images is taken on the calling thread in image order. None of this depends
-on the BLAS thread count or the worker count (see
-:mod:`qefilters.projection`), so identical configs and data reproduce runs
-bit-for-bit under any thread count.
+copy, the contractions, the softmax and the loss terms) runs on threads
+through ``projection._each_image_block`` when its work per image is large
+enough, and every sum across images is taken on the calling thread in image
+order. The evaluation at each epoch's end and in ``predict`` is one pass per
+block of images (``_predict``): the bank contraction, the head's private
+``_forward`` and the argmax, and at the epoch's end a ``np.bincount`` of
+truth·K + prediction on labels ``train`` has already checked; the calling
+thread adds the integer counts. None of this depends on the BLAS thread
+count or the worker count (see :mod:`qefilters.projection`), so identical
+configs and data reproduce runs bit-for-bit under any thread count.
 
 Validation and allocation happen at fixed places. A cube is checked once,
 when it is built or read. ``train`` allocates one data buffer and one label
@@ -34,8 +38,8 @@ scatters at the label, and Dice selects each pixel's per-class gradient with
 a boolean one-hot, image by image in one image-sized array per block of
 images. The heads add biases and apply ``tanh`` in place. The bank and
 its regularizers are evaluated once at the start and once after every
-optimizer step; the next batch, the epoch-end mIoU passes and the epoch
-record all reuse that evaluation.
+optimizer step; the next batch, the two epoch-end evaluation passes and the
+epoch record all reuse that evaluation.
 """
 
 from __future__ import annotations
@@ -57,8 +61,10 @@ from .filterbank import (
 from .metrics import IGNORE_LABEL, ConfusionMatrix, _check_integer_labels, compute_metrics
 from .projection import (
     Hypercube,
+    _check_response,
     _contract_channels,
     _each_image_block,
+    _image_values,
     _reduce_pixels,
     apply_filter_bank,
     backward,
@@ -84,6 +90,9 @@ class LinearHead:
         return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, feats: np.ndarray):
+        return self._forward(feats)
+
+    def _forward(self, feats: np.ndarray):
         logits = _contract_channels(self.weight, feats)
         logits += self.bias[None, :, None, None]
         return logits, feats
@@ -116,6 +125,9 @@ class MlpHead:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def forward(self, feats: np.ndarray):
+        return self._forward(feats)
+
+    def _forward(self, feats: np.ndarray):
         hidden = _contract_channels(self.w1, feats)
         hidden += self.b1[None, :, None, None]
         np.tanh(hidden, out=hidden)
@@ -151,11 +163,6 @@ def make_head(kind: str, num_classes: int, num_features: int, rng, hidden: int =
 # Losses
 # ---------------------------------------------------------------------------
 
-def _pixels(array: np.ndarray) -> int:
-    """Pixels of one image of a (B, ..., H, W) array."""
-    return array.shape[-2] * array.shape[-1]
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the class axis, computed in one new array."""
     p = np.empty_like(logits)
@@ -166,7 +173,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
         np.exp(block, out=block)
         block /= block.sum(axis=1, keepdims=True)
 
-    _each_image_block(softmax, len(p), _pixels(p))
+    _each_image_block(softmax, len(p), _image_values(p))
     return p
 
 
@@ -223,7 +230,7 @@ def weighted_cross_entropy(
         np.log(log_p, out=log_p)
         log_p *= w
 
-    _each_image_block(log_likelihood, len(probs), _pixels(probs))
+    _each_image_block(log_likelihood, len(probs), _image_values(probs))
     w_total = pix_w.sum()
     if w_total <= 0:
         raise ConfigurationError("total class weight over present labels is zero")
@@ -236,7 +243,7 @@ def weighted_cross_entropy(
         pix_w[lo:hi] /= w_total
         probs[lo:hi] *= pix_w[lo:hi]
 
-    _each_image_block(gradient, len(probs), _pixels(probs))
+    _each_image_block(gradient, len(probs), _image_values(probs))
     return value, probs
 
 
@@ -272,7 +279,7 @@ def soft_dice(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
 
     overlap = np.zeros(num_classes)
     total = np.zeros(num_classes)
-    for block in _each_image_block(plane_sums, len(p), _pixels(p)):
+    for block in _each_image_block(plane_sums, len(p), _image_values(p)):
         for image_overlap, image_total in block:
             overlap += image_overlap
             total += image_total
@@ -295,7 +302,7 @@ def soft_dice(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
             image -= np.sum(image * p_img, axis=0, keepdims=True)
             p_img *= image
 
-    _each_image_block(gradient, len(p), _pixels(p))
+    _each_image_block(gradient, len(p), _image_values(p))
     return value, p
 
 
@@ -457,30 +464,49 @@ def _argmax_classes(logits: np.ndarray) -> np.ndarray:
     class index, as with ``np.argmax``.
     """
     pred = np.zeros((len(logits),) + logits.shape[2:], dtype=np.intp)
-
-    def argmax(lo, hi):
-        block, block_pred = logits[lo:hi], pred[lo:hi]
-        best = block[:, 0].copy()
-        better = np.empty(best.shape, dtype=bool)
-        for k in range(1, block.shape[1]):
-            np.greater(block[:, k], best, out=better)
-            block_pred[better] = k
-            np.maximum(best, block[:, k], out=best)
-
-    _each_image_block(argmax, len(logits), _pixels(logits))
+    best = logits[:, 0].copy()
+    better = np.empty(best.shape, dtype=bool)
+    for k in range(1, logits.shape[1]):
+        np.greater(logits[:, k], best, out=better)
+        pred[better] = k
+        np.maximum(best, logits[:, k], out=best)
     return pred
 
 
-def _predict(response, head, cube: Hypercube) -> np.ndarray:
-    # Nothing keeps the features or the head's cache, so they are freed
-    # before the argmax allocates.
-    logits = head.forward(apply_filter_bank(cube, response))[0]
-    return _argmax_classes(logits)
+def _predict(response, head, cube: Hypercube, fn) -> list:
+    """``fn(lo, hi, pred)`` for each block of images, ``pred`` the head's classes on them.
+
+    Runs ``apply_filter_bank``'s checks first; then each block contracts its
+    images with the bank and runs the head's private forward and the argmax,
+    on the calling thread and the pool. Returns ``fn``'s results in block
+    order. Only one block's features and logits are alive per thread.
+    """
+    _check_response(response, cube)
+
+    def block(lo, hi):
+        logits = head._forward(_contract_channels(response.weights, cube.data[lo:hi]))[0]
+        return fn(lo, hi, _argmax_classes(logits))
+
+    return _each_image_block(block, cube.dims[0], _image_values(cube.data))
 
 
 def _miou(response, head, cube, labels, num_classes) -> float:
-    pred = _predict(response, head, cube)
-    cm = ConfusionMatrix(num_classes).accumulate(pred, labels)
+    """mIoU of the head on ``cube``, each block counting truth·K + pred with ``np.bincount``.
+
+    ``labels`` are checked by ``train``; unlabelled pixels are coded past K·K
+    and dropped. The calling thread adds the integer counts.
+    """
+    k = num_classes
+
+    def count(lo, hi, pred):
+        codes = labels[lo:hi].astype(np.intp)
+        codes[codes == IGNORE_LABEL] = k
+        codes *= k
+        codes += pred
+        return np.bincount(codes.ravel(), minlength=k * k + k)[: k * k]
+
+    cm = ConfusionMatrix(k)
+    cm.counts += sum(_predict(response, head, cube, count)).reshape(k, k)
     return compute_metrics(cm).miou
 
 
@@ -592,7 +618,7 @@ def train(
                 np.take(train_cube.data, idx[lo:hi], axis=0, out=batch_data[lo:hi], mode="clip")
                 np.take(train_labels, idx[lo:hi], axis=0, out=batch_labels[lo:hi], mode="clip")
 
-            _each_image_block(load, len(idx), _pixels(train_labels))
+            _each_image_block(load, len(idx), _image_values(batch_data, batch_labels))
             batch_cube = Hypercube._checked(batch_data, wl)
             seg, grads = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, epoch)
             epoch_seg.append(seg)
@@ -643,5 +669,5 @@ def train(
 def predict(report: TrainReport, cube: Hypercube) -> np.ndarray:
     """Per-pixel class predictions of a report's best snapshot on a cube."""
     bank = report.params
-    lam_norm = normalize_wavelengths(cube.wavelengths_nm, bank.range)
-    return _predict(evaluate_filter_bank(bank, lam_norm), report.head, cube)
+    response = evaluate_filter_bank(bank, normalize_wavelengths(cube.wavelengths_nm, bank.range))
+    return np.concatenate(_predict(response, report.head, cube, lambda lo, hi, pred: pred))

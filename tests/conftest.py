@@ -11,7 +11,8 @@ def under_workers(monkeypatch):
     """``run(fn)`` returns the results of ``fn()`` under several worker counts.
 
     It calls ``fn`` under 1, 2 and 3 workers (the monkeypatched count of
-    usable CPUs), then, with ``first_last``, under 2 and 3 workers with the
+    usable CPUs), with any work sent to the pool so that small test shapes
+    still split, then, with ``first_last``, under 2 and 3 workers with the
     calling thread's block held back until the pool's blocks are done, so a
     sum taken in completion order instead of image order would differ.
     Threads switch often, so overlapping writes would show.
@@ -30,6 +31,7 @@ def under_workers(monkeypatch):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         results = []
+        monkeypatch.setattr(projection, "_POOL_WORK", 0)
         try:
             for cpus, block_runner in settings:
                 monkeypatch.setattr(projection, "_usable_cpus", lambda cpus=cpus: cpus)

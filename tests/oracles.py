@@ -9,7 +9,10 @@ gradients, which ``qefilters.training`` sums in the same fixed blocks. The
 functional Adam step checks the in-place ``AdamW``, which must reproduce it
 byte for byte. The serial synthetic generator, one image at a time with a
 dense (H, W, blobs) distance array and one full-image noise draw, checks the
-threaded ``gen_synthetic`` byte for byte.
+threaded ``gen_synthetic`` byte for byte. The batched evaluation, whole-cube
+features, the public head forward, ``np.argmax`` and
+``ConfusionMatrix.accumulate``, checks the image-by-image evaluation pass of
+``train`` and ``predict`` byte for byte.
 """
 
 from dataclasses import dataclass
@@ -18,6 +21,8 @@ import numpy as np
 
 from qefilters.errors import ConfigurationError, DataError
 from qefilters.filterbank import sigmoid
+from qefilters.metrics import ConfusionMatrix, compute_metrics
+from qefilters.projection import apply_filter_bank
 from qefilters.rng import make_generator
 
 
@@ -196,3 +201,9 @@ def serial_synthetic(spec):
         data[b] = np.moveaxis(means[lab] + spec.noise_sigma * noise, 2, 0)
         labels[b] = lab
     return data, labels
+
+
+def batched_evaluation(response, head, cube, labels, num_classes):
+    """``(pred, metrics)`` of a head on a whole cube, each step over the whole batch."""
+    pred = np.argmax(head.forward(apply_filter_bank(cube, response))[0], axis=1)
+    return pred, compute_metrics(ConfusionMatrix(num_classes).accumulate(pred, labels))

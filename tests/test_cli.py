@@ -20,7 +20,8 @@ from qefilters import (
     read_cube,
     write_cube,
 )
-from qefilters.cli import cli, export_filters
+import qefilters.cli
+from qefilters.cli import _write_atomic, cli, export_filters
 
 HYKO = WavelengthRange(470.0, 630.0)
 
@@ -370,6 +371,38 @@ class TestExportFilters:
         assert code == 0
         header = (out / "filters.csv").read_text().splitlines()[0]
         assert header == "wavelength_nm,filter_1,filter_2,filter_3"
+
+
+class TestAtomicArtifacts:
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("earlier")
+
+        def write(temp):
+            temp.write_text("part")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _write_atomic(target, write)
+        assert target.read_text() == "earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        _write_atomic(target, lambda temp: temp.write_text("later"))
+        assert target.read_text() == "later"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_gen_synth_failing_mid_file_keeps_the_earlier_cubes(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "data"
+        assert cli(["gen-synth", "--config", str(synth_config(tmp_path)), "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def failing(cube, labels, path):
+            Path(path).write_bytes(b"HYPC")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(qefilters.cli, "write_cube", failing)
+        assert cli(["gen-synth", "--config", str(synth_config(tmp_path, seed=12)), "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
 
 class TestExitCodes:

@@ -24,7 +24,7 @@ from qefilters import (
 )
 from qefilters import projection
 from qefilters.filterbank import CENTROID
-from qefilters.projection import _PIXEL_BLOCK, _contract_channels, _each_image_block, _reduce_pixels
+from qefilters.projection import _POOL_WORK, _contract_channels, _each_image_block, _reduce_pixels
 
 HYKO = WavelengthRange(470.0, 630.0)
 
@@ -141,27 +141,34 @@ class TestReducePixels:
 class TestEachImageBlock:
     @staticmethod
     def use_cpus(monkeypatch, cpus):
+        # Any work reaches the pool, so these small calls still split.
         monkeypatch.setattr(projection, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(projection, "_POOL_WORK", 0)
 
     def test_contiguous_blocks_in_block_order(self, monkeypatch):
         self.use_cpus(monkeypatch, 3)
-        assert _each_image_block(lambda lo, hi: (lo, hi), 5, _PIXEL_BLOCK) == [(0, 1), (1, 3), (3, 5)]
+        assert _each_image_block(lambda lo, hi: (lo, hi), 5, _POOL_WORK) == [(0, 1), (1, 3), (3, 5)]
         self.use_cpus(monkeypatch, 8)  # at most one block per image
-        assert _each_image_block(lambda lo, hi: (lo, hi), 2, _PIXEL_BLOCK) == [(0, 1), (1, 2)]
+        assert _each_image_block(lambda lo, hi: (lo, hi), 2, _POOL_WORK) == [(0, 1), (1, 2)]
 
+    # These keep the real _POOL_WORK.
     @pytest.mark.parametrize(
-        "cpus, count, pixels",
+        "cpus, count, work",
         [
-            pytest.param(2, 4, _PIXEL_BLOCK - 1, id="small-images"),
-            pytest.param(2, 1, _PIXEL_BLOCK, id="one-image"),
-            pytest.param(1, 4, _PIXEL_BLOCK, id="one-cpu"),
+            pytest.param(2, 4, _POOL_WORK - 1, id="small-images"),
+            pytest.param(2, 1, _POOL_WORK, id="one-image"),
+            pytest.param(1, 4, _POOL_WORK, id="one-cpu"),
         ],
     )
-    def test_whole_batch_on_the_calling_thread(self, monkeypatch, cpus, count, pixels):
-        self.use_cpus(monkeypatch, cpus)
+    def test_whole_batch_on_the_calling_thread(self, monkeypatch, cpus, count, work):
+        monkeypatch.setattr(projection, "_usable_cpus", lambda: cpus)
         calls = []
-        _each_image_block(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), count, pixels)
+        _each_image_block(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), count, work)
         assert calls == [(0, count, threading.get_ident())]
+
+    def test_work_at_the_constant_splits(self, monkeypatch):
+        monkeypatch.setattr(projection, "_usable_cpus", lambda: 2)
+        assert _each_image_block(lambda lo, hi: (lo, hi), 4, _POOL_WORK) == [(0, 2), (2, 4)]
 
     @pytest.mark.parametrize("failing", [0, 2], ids=["calling-thread", "pool"])
     def test_failure_raised_after_every_block_finished(self, monkeypatch, failing):
@@ -177,7 +184,7 @@ class TestEachImageBlock:
                 finished.append(lo)
 
         with pytest.raises(RuntimeError, match=f"block {failing} failed"):
-            _each_image_block(block, 3, _PIXEL_BLOCK)
+            _each_image_block(block, 3, _POOL_WORK)
         assert sorted(finished) == [0, 1, 2]
 
     def test_call_from_inside_a_block_runs_inline(self, monkeypatch):
@@ -187,26 +194,26 @@ class TestEachImageBlock:
             return lo, hi, threading.get_ident()
 
         def outer(lo, hi):
-            return threading.get_ident(), _each_image_block(inner, 4, _PIXEL_BLOCK)
+            return threading.get_ident(), _each_image_block(inner, 4, _POOL_WORK)
 
-        results = _each_image_block(outer, 2, _PIXEL_BLOCK)
+        results = _each_image_block(outer, 2, _POOL_WORK)
         assert results[0][0] == threading.get_ident() != results[1][0]
         for ident, inner_results in results:
             assert inner_results == [(0, 4, ident)]
         # Outside a block, the pool is used again.
-        assert len(_each_image_block(inner, 4, _PIXEL_BLOCK)) == 2
+        assert len(_each_image_block(inner, 4, _POOL_WORK)) == 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_makes_its_own_pool(self, monkeypatch):
         # The child inherits the pool's idle thread as a count, not as a
         # thread; a job queued on the inherited pool would never run.
         self.use_cpus(monkeypatch, 2)
-        assert len(_each_image_block(lambda lo, hi: None, 2, _PIXEL_BLOCK)) == 2
+        assert len(_each_image_block(lambda lo, hi: None, 2, _POOL_WORK)) == 2
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                code = 0 if _each_image_block(lambda lo, hi: (lo, hi), 2, _PIXEL_BLOCK) == [(0, 1), (1, 2)] else 1
+                code = 0 if _each_image_block(lambda lo, hi: (lo, hi), 2, _POOL_WORK) == [(0, 1), (1, 2)] else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 30

@@ -152,10 +152,11 @@ class TestThreadedGenerator:
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_matches_serial_oracle(self, monkeypatch, cpus, noise):
         # 7 images over 1, 2 or 5 workers; 67 rows end in a partial noise
-        # block, and 67 x 64 pixels are enough for the images to be split.
-        assert 67 % synthetic._ROW_BLOCK and 67 * 64 >= projection._PIXEL_BLOCK
+        # block. Any work reaches the pool, so these small images still split.
+        assert 67 % synthetic._ROW_BLOCK
         spec = simple_spec(noise=noise, seed=3, images=7, height=67, width=64)
         monkeypatch.setattr(projection, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(projection, "_POOL_WORK", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so overlapping writes would show
         try:
@@ -202,6 +203,7 @@ class TestThreadedGenerator:
         monkeypatch.setattr(synthetic, "make_generator", failing)
         monkeypatch.setattr(synthetic, "_fill_images", recorded)
         monkeypatch.setattr(projection, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(projection, "_POOL_WORK", 0)
         with pytest.raises(RuntimeError, match="image 1 failed"):
             gen_synthetic(simple_spec(noise=0.1, images=6, height=64, width=64))
         assert sorted(finished, key=lambda images: images.start) == [range(0, 3), range(3, 6)]

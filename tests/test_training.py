@@ -34,11 +34,17 @@ from qefilters.filterbank import FilterBankParams, WavelengthRange
 from qefilters.metrics import IGNORE_LABEL
 from qefilters.projection import _contract_channels, apply_filter_bank
 from qefilters.regularization import total_reg
-from qefilters import training
-from qefilters.training import AdamW, _argmax_classes, _bank_state, _batch_gradients, make_head
+from qefilters import projection, training
+from qefilters.training import AdamW, TrainReport, _argmax_classes, _bank_state, _batch_gradients, make_head
 from qefilters.rng import make_generator
 
-from oracles import adam_step, blocked_pixel_reduction, dense_soft_dice, dense_weighted_cross_entropy
+from oracles import (
+    adam_step,
+    batched_evaluation,
+    blocked_pixel_reduction,
+    dense_soft_dice,
+    dense_weighted_cross_entropy,
+)
 from tasks import planted3_config, planted3_data, planted3_spec
 
 HYKO = WavelengthRange(470.0, 630.0)
@@ -213,6 +219,124 @@ class TestWorkerCount:
 
         results = under_workers(run, first_last=False)
         assert all(r == results[0] for r in results)
+
+
+def report_of(bank, head, num_classes):
+    """A TrainReport that holds only what ``predict`` reads."""
+    centroids = np.zeros((0,) + bank.table.shape[:2])
+    return TrainReport([], 0, 0.0, bank, head, centroids, num_classes, False)
+
+
+class TestEvaluationPass:
+    """``train``'s mIoU passes and ``predict`` equal the batched evaluation byte for byte."""
+
+    # 5 images of 12 channels at 30 x 30, with unlabelled pixels; class 2 of
+    # 4 is absent from the truth. Random data and head arrays make every
+    # class the prediction somewhere.
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+    @pytest.mark.parametrize("head_kind", ["linear", "mlp"])
+    def test_matches_batched_oracle(self, under_workers, head_kind, dtype):
+        rng = np.random.default_rng(31)
+        cube = Hypercube(rng.normal(size=(5, 12, 30, 30)), np.linspace(470.0, 630.0, 12))
+        labels = rng.choice([0, 1, 3], size=(5, 30, 30)).astype(dtype)
+        labels[0, :4] = IGNORE_LABEL
+        labels[3, :, -3:] = IGNORE_LABEL
+        bank = init_filter_bank(3, 2, HYKO, seed=4)
+        response = evaluate_filter_bank(bank, normalize_wavelengths(cube.wavelengths_nm, HYKO))
+        head = make_head(head_kind, 4, 3, make_generator(9))
+        for array in head.parameters().values():
+            array[...] = 3.0 * rng.normal(size=array.shape)
+        pred, metrics = batched_evaluation(response, head, cube, labels, 4)
+        assert set(np.unique(pred)) == {0, 1, 2, 3}
+        expected = np.float64(metrics.miou).tobytes() + pred.tobytes()
+
+        def run():
+            miou = training._miou(response, head, cube, labels, 4)
+            return np.float64(miou).tobytes() + predict(report_of(bank, head, 4), cube).tobytes()
+
+        assert under_workers(run) == [expected] * 5
+
+    def test_predict_rejects_too_few_channels_before_any_block(self, monkeypatch):
+        bank = init_filter_bank(3, 1, HYKO, seed=2)
+        head = make_head("linear", 2, 3, make_generator(1))
+        cube = Hypercube(np.random.default_rng(2).random((2, 3, 4, 4)), np.array([480.0, 550.0, 620.0]))
+        blocks = []
+        monkeypatch.setattr(training, "_each_image_block", lambda *args: blocks.append(args))
+        with pytest.raises(ConfigurationError, match="fewer filters than channels"):
+            predict(report_of(bank, head, 2), cube)
+        assert blocks == []
+
+
+class TestPoolRouting:
+    """The work each per-image call passes, and which calls reach the pool, at the bench shapes.
+
+    One training step, its two epoch-end evaluation passes and a predict,
+    on 2 usable CPUs. Calls from inside a block run inline.
+    """
+
+    @pytest.mark.parametrize(
+        "shape, filters, head_kind, head_sizes, pooled",
+        [
+            # head_sizes: rows + columns of each head matrix.
+            pytest.param((4, 25, 256, 256), 3, "linear", [5 + 3], None, id="hsidrive"),
+            pytest.param(
+                (4, 128, 64, 64), 8, "mlp", [8 + 8, 5 + 8],
+                {
+                    ("_contract_channels.<locals>.contract", 4096 * 136),
+                    ("_reduce_pixels.<locals>.products", 4096 * 136),
+                    ("train.<locals>.load", 4096 * 129),
+                    ("_predict.<locals>.block", 4096 * 128),
+                },
+                id="wide",
+            ),
+        ],
+    )
+    def test_calls_reaching_the_pool(self, monkeypatch, shape, filters, head_kind, head_sizes, pooled):
+        b, c, h, w = shape
+        rng = np.random.default_rng(5)
+        wl = np.linspace(600.0, 975.0, c)
+        train_cube, val_cube = (Hypercube(rng.random((images, c, h, w)), wl) for images in (b, 2))
+        train_labels, val_labels = (rng.integers(0, 5, (images, h, w)) for images in (b, 2))
+        calls = []  # (call site, work, called from inside a block, ran on the pool)
+        each_image_block = projection._each_image_block
+
+        def recorded(fn, count, work):
+            inside = getattr(projection._local, "inside", False)
+            results = each_image_block(fn, count, work)
+            calls.append((fn.__qualname__, work, inside, len(results) > 1))
+            return results
+
+        monkeypatch.setattr(projection, "_usable_cpus", lambda: 2)
+        for module in (projection, training):
+            monkeypatch.setattr(module, "_each_image_block", recorded)
+        config = TrainConfig(learning_rate=0.01, max_epochs=1, patience=1, seed=1, head=head_kind)
+        report = train((train_cube, train_labels), (val_cube, val_labels), filters, 1, config, num_classes=5)
+        predict(report, val_cube)
+
+        top = [(name, work, on_pool) for name, work, inside, on_pool in calls if not inside]
+        if pooled is None:
+            assert all(on_pool for _, _, on_pool in top)
+        else:
+            assert {(name, work) for name, work, on_pool in top if on_pool} == pooled
+            assert not any((name, work) in pooled for name, work, on_pool in top if not on_pool)
+        assert not any(on_pool for _, _, inside, on_pool in calls if inside)
+        passed = {}
+        for name, work, _ in top:
+            passed.setdefault(name, set()).add(work)
+        pixels = h * w
+        spectral = {pixels * (filters + c)} | {pixels * size for size in head_sizes}
+        loss = {pixels * 5}
+        assert passed == {
+            "_contract_channels.<locals>.contract": spectral,
+            "_reduce_pixels.<locals>.products": spectral,
+            "_softmax.<locals>.softmax": loss,
+            "weighted_cross_entropy.<locals>.log_likelihood": loss,
+            "weighted_cross_entropy.<locals>.gradient": loss,
+            "soft_dice.<locals>.plane_sums": loss,
+            "soft_dice.<locals>.gradient": loss,
+            "train.<locals>.load": {pixels * (c + 1)},
+            "_predict.<locals>.block": {pixels * c},
+        }
 
 
 class TestHeadWeightGradients:
