@@ -29,7 +29,6 @@ _STD_FLOOR = 1e-8  # constant bands standardize to zero instead of blowing up
 class PixelSample:
     matrix: np.ndarray  # (N, C) pixel spectra
     labels: np.ndarray  # (N,)
-    per_class_counts: np.ndarray  # (K,)
 
 
 @dataclass
@@ -119,7 +118,6 @@ def stratified_sample(
     gen = make_generator(seed)
 
     rows, row_labels = [], []
-    per_class = np.zeros(num_classes, dtype=np.int64)
     counts = np.array([np.bincount(lab.astype(np.int64), minlength=num_classes) for lab in labeled])
 
     for k in range(num_classes):
@@ -142,10 +140,8 @@ def stratified_sample(
                 b, h, w = b[pick], h[pick], w[pick]
             rows.append(cube.data[b, :, h, w])
             row_labels.append(np.full(b.size, k, dtype=np.int64))
-            per_class[k] += b.size
 
-    matrix = np.concatenate(rows, axis=0)
-    return PixelSample(matrix=matrix, labels=np.concatenate(row_labels), per_class_counts=per_class)
+    return PixelSample(matrix=np.concatenate(rows, axis=0), labels=np.concatenate(row_labels))
 
 
 def fit_band_stats(sample: PixelSample) -> BandStats:
@@ -262,7 +258,7 @@ class ReductionPipeline:
     stats: BandStats
     projection: LinearProjection
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         proj = {
             "kind": self.projection.kind,
             "components": self.projection.components.tolist(),
@@ -274,13 +270,8 @@ class ReductionPipeline:
             proj["final_residual"] = self.projection.final_residual
         if self.projection.shift is not None:
             proj["shift"] = self.projection.shift.tolist()
-        return {
-            "stats": {"mean": self.stats.mean.tolist(), "std": self.stats.std.tolist()},
-            "projection": proj,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        stats = {"mean": self.stats.mean.tolist(), "std": self.stats.std.tolist()}
+        return json.dumps({"stats": stats, "projection": proj}, indent=2)
 
 
 def fit_reduction_pipeline(

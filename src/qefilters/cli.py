@@ -105,7 +105,7 @@ def _load_json(path) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise DataError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a file that is not UTF-8, or an integer past Python's digit limit
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -262,12 +262,11 @@ def _cmd_eval(args) -> int:
         raise DataError(f"prediction labels {pred.values.shape} do not match truth {truth.shape}")
     cm = ConfusionMatrix(max(pred.num_classes, truth_classes)).accumulate(pred.values, truth)
     report = compute_metrics(cm)
+    text = json.dumps(report.to_dict(), indent=2) + "\n"
     print(report.format_table())
-    print(json.dumps(report.to_dict(), indent=2))
+    print(text, end="")
     if args.out:
-        out = _out_dir(args.out)
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
-        _write_atomic(out / "metrics.json", lambda temp: temp.write_text(text))
+        _write_atomic(_out_dir(args.out) / "metrics.json", lambda temp: temp.write_text(text))
     return 0
 
 

@@ -27,9 +27,9 @@ class DataError(QEFiltersError):
 class TrainingDivergedError(QEFiltersError):
     """A non-finite loss appeared during training."""
 
-    def __init__(self, epoch: int, message: str = ""):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(message or f"training diverged at epoch {epoch}")
+        super().__init__(f"training diverged at epoch {epoch}")
 
 
 _REQUIRED = object()
@@ -63,7 +63,7 @@ def config_value(doc: dict, key: str, kind, where: str, default=_REQUIRED):
     value = doc[key]
     try:
         return kind(json_typed(value, kind) if kind in _JSON_TYPES else value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{where} key {key!r} has an invalid value {value!r}: {exc}") from exc
 
 

@@ -23,13 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, check_keys, config_value, json_typed
 from .rng import make_generator
 
 EPSILON = 1e-8  # guard in the response-normalization denominator; not configurable
 
 # Slot order along the last axis of the raw parameter table.
 CENTROID, LOG_BANDWIDTH, AMPLITUDE_LOGIT, SKEWNESS_RAW = 0, 1, 2, 3
+_PEAK_KEYS = ("c", "log_bw", "alpha", "gamma")  # a peak's four slots, in order, in a JSON document
 
 # Floor for exp(log_bandwidth), so a wildly negative log-bandwidth underflowing
 # to zero cannot produce a division by zero. Unreachable for any bandwidth the
@@ -139,18 +140,7 @@ class FilterBankParams:
     def to_json_dict(self) -> dict:
         return {
             "range": {"start_nm": self.range.start_nm, "end_nm": self.range.end_nm},
-            "filters": [
-                [
-                    {
-                        "c": float(self.table[f, p, CENTROID]),
-                        "log_bw": float(self.table[f, p, LOG_BANDWIDTH]),
-                        "alpha": float(self.table[f, p, AMPLITUDE_LOGIT]),
-                        "gamma": float(self.table[f, p, SKEWNESS_RAW]),
-                    }
-                    for p in range(self.peaks_per_filter)
-                ]
-                for f in range(self.num_filters)
-            ],
+            "filters": [[dict(zip(_PEAK_KEYS, map(float, peak))) for peak in row] for row in self.table],
         }
 
     def to_json(self) -> str:
@@ -159,22 +149,41 @@ class FilterBankParams:
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "FilterBankParams":
-        try:
-            rng = WavelengthRange(float(doc["range"]["start_nm"]), float(doc["range"]["end_nm"]))
-            filters = doc["filters"]
-            table = np.array(
-                [
-                    [[peak["c"], peak["log_bw"], peak["alpha"], peak["gamma"]] for peak in row]
-                    for row in filters
-                ],
-                dtype=float,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed filter-bank document: {exc}") from exc
-        if table.ndim != 3:
-            raise ConfigurationError("filter-bank document has ragged or empty peak lists")
-        return cls(table, rng)
+    def from_json_dict(cls, doc) -> "FilterBankParams":
+        """The bank of a ``to_json_dict`` document.
+
+        A missing or unknown key, or a value that is not a finite JSON number,
+        is a ConfigurationError that names the key.
+        """
+        check_keys(doc, ("range", "filters"), "filter-bank document")
+        wavelength_range = config_value(doc, "range", _range_from_json, "filter-bank document")
+        return cls(config_value(doc, "filters", _table_from_json, "filter-bank document"), wavelength_range)
+
+
+def _finite(value) -> float:
+    """A JSON number that is finite; ``json`` also reads NaN and Infinity."""
+    value = float(json_typed(value, float))
+    if not np.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _range_from_json(doc) -> WavelengthRange:
+    check_keys(doc, ("start_nm", "end_nm"), "filter-bank 'range'")
+    return WavelengthRange(*(config_value(doc, key, _finite, "filter-bank 'range'") for key in ("start_nm", "end_nm")))
+
+
+def _table_from_json(filters) -> np.ndarray:
+    """The (F, P, 4) table of a document's ``filters``: F lists of P peak objects each."""
+    if not (isinstance(filters, list) and filters
+            and all(isinstance(row, list) and len(row) == len(filters[0]) > 0 for row in filters)):
+        raise ConfigurationError("filter-bank 'filters' must be a non-empty list of equally long, non-empty peak lists")
+    table = np.empty((len(filters), len(filters[0]), 4))
+    for f, row in enumerate(filters):
+        for p, peak in enumerate(row):
+            check_keys(peak, _PEAK_KEYS, f"filter-bank peak [{f}][{p}]")
+            table[f, p] = [config_value(peak, key, _finite, f"filter-bank peak [{f}][{p}]") for key in _PEAK_KEYS]
+    return table
 
 
 def normalize_wavelengths(wavelengths_nm: Sequence[float], wavelength_range: WavelengthRange) -> np.ndarray:

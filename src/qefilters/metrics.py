@@ -61,10 +61,6 @@ class ConfusionMatrix:
         )
         return self
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class MetricsReport:

@@ -1,13 +1,13 @@
 """Physics-inspired penalties on the filter bank, with analytic gradients.
 
-Three terms keep learned filters shaped like plausible sensor response
-curves: a single dominant lobe per filter, minimum spacing between the
-dominant-peak centroids of different filters, and bandwidth bounds on each
-filter's dominant peak. The dominant-peak selection (argmax over amplitudes)
-is treated as piecewise constant: no gradient flows through which peak is
-dominant, only through the selected peak's parameters. The ReLU subgradient
-at zero is taken as zero, so a penalty sitting exactly on its boundary stays
-inactive.
+Three terms on the peak parameters, not on the summed curve: a cap on each
+filter's secondary-peak amplitudes relative to its dominant one, minimum
+spacing between the dominant-peak centroids of different filters, and
+bandwidth bounds on each filter's dominant peak. The dominant-peak selection
+(argmax over amplitudes) is treated as piecewise constant: no gradient flows
+through which peak is dominant, only through the selected peak's parameters.
+The ReLU subgradient at zero is taken as zero, so a penalty sitting exactly
+on its boundary stays inactive.
 """
 
 from __future__ import annotations

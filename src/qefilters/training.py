@@ -440,8 +440,8 @@ class TrainReport:
                 lines += [f"{e},{f},{p},{c!r}" for p, c in enumerate(centroids)]
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "best_epoch": self.best_epoch,
             "best_val_miou": self.best_val_miou,
             "epochs_run": len(self.records),
@@ -451,10 +451,7 @@ class TrainReport:
             "head": self.head.kind,
             "filters": self.params.to_json_dict(),
             "records": [dict(zip(_EPOCH_COLUMNS, astuple(r))) for r in self.records],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        }, indent=2)
 
 
 def _argmax_classes(logits: np.ndarray) -> np.ndarray:

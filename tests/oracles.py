@@ -12,7 +12,9 @@ dense (H, W, blobs) distance array and one full-image noise draw, checks the
 threaded ``gen_synthetic`` byte for byte. The batched evaluation, whole-cube
 features, the public head forward, ``np.argmax`` and
 ``ConfusionMatrix.accumulate``, checks the image-by-image evaluation pass of
-``train`` and ``predict`` byte for byte.
+``train`` and ``predict`` byte for byte. The lobe certificate reads a
+bank's summed response curves on a fine grid, to check what the penalties,
+which read only the peak parameters, leave the curves looking like.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qefilters.errors import ConfigurationError, DataError
-from qefilters.filterbank import sigmoid
+from qefilters.filterbank import evaluate_filter_bank, sigmoid
 from qefilters.metrics import ConfusionMatrix, compute_metrics
 from qefilters.projection import apply_filter_bank
 from qefilters.rng import make_generator
@@ -207,3 +209,60 @@ def batched_evaluation(response, head, cube, labels, num_classes):
     """``(pred, metrics)`` of a head on a whole cube, each step over the whole batch."""
     pred = np.argmax(head.forward(apply_filter_bank(cube, response))[0], axis=1)
     return pred, compute_metrics(ConfusionMatrix(num_classes).accumulate(pred, labels))
+
+
+@dataclass(frozen=True)
+class LobeCertificate:
+    """The shape of one filter's summed response curve.
+
+    ``maxima_nm`` are the curve's local maxima strictly inside the range, in
+    wavelength order, and ``second_over_first`` the second-highest of their
+    heights over the highest (0.0 with fewer than two). ``fwhm_nm`` is the
+    full width at half maximum of the lobe around the curve's highest point
+    on the whole axis (NaN if the curve stays above half of it to a grid
+    end), and ``peak_inside`` whether that point lies inside the range.
+    """
+
+    maxima_nm: tuple[float, ...]
+    second_over_first: float
+    fwhm_nm: float
+    peak_inside: bool
+
+
+CERTIFICATE_STEP = 1.0 / 20_000  # grid spacing on the normalized axis: 0.008 nm on HyKo's 160 nm
+
+
+def lobe_certificates(bank) -> list[LobeCertificate]:
+    """One ``LobeCertificate`` per filter of a ``FilterBankParams``.
+
+    The grid covers the range and reaches four bandwidths past every
+    centroid. Each peak falls monotonically on both sides of its centroid,
+    so a curve's highest point lies between its filter's centroids, on the
+    grid. The half-maximum crossings are interpolated linearly.
+    """
+    c, beta = bank.centroids, bank.bandwidths
+    lo, hi = min(0.0, float((c - 4 * beta).min())), max(1.0, float((c + 4 * beta).max()))
+    grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / CERTIFICATE_STEP)) + 1)
+    span = bank.range.span_nm
+    certificates = []
+    for curve in evaluate_filter_bank(bank, grid).per_peak_responses.sum(axis=1):
+        maxima = np.flatnonzero((curve[1:-1] > curve[:-2]) & (curve[1:-1] >= curve[2:])) + 1
+        maxima = maxima[(grid[maxima] > 0.0) & (grid[maxima] < 1.0)]
+        heights = np.sort(curve[maxima])[::-1]
+        top = int(np.argmax(curve))
+        half = curve[top] / 2
+        below = np.flatnonzero(curve < half)
+        left, right = below[below < top], below[below > top]
+        fwhm = np.nan
+        if left.size and right.size:
+            i, j = left[-1], right[0]  # curve[i] < half <= curve[i + 1], curve[j] < half <= curve[j - 1]
+            x_left = np.interp(half, curve[[i, i + 1]], grid[[i, i + 1]])
+            x_right = np.interp(half, curve[[j, j - 1]], grid[[j, j - 1]])
+            fwhm = float(x_right - x_left) * span
+        certificates.append(LobeCertificate(
+            maxima_nm=tuple(float(v) for v in bank.range.start_nm + grid[maxima] * span),
+            second_over_first=float(heights[1] / heights[0]) if heights.size > 1 else 0.0,
+            fwhm_nm=fwhm,
+            peak_inside=bool(0.0 <= grid[top] <= 1.0),
+        ))
+    return certificates

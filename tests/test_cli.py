@@ -97,6 +97,7 @@ class TestTrainCommand:
         assert report["epochs_run"] == 6
         bank = FilterBankParams.from_json_dict(json.loads((out / "filters.json").read_text()))
         assert bank.num_parameters == 4
+        assert bank.to_json() == (out / "filters.json").read_text()
         # Both CSVs hold plain numbers: the epoch rows are the report's records.
         header, *rows = list(csv.reader(io.StringIO((out / "epochs.csv").read_text())))
         assert [dict(zip(header, [int(row[0]), *map(float, row[1:])])) for row in rows] == report["records"]
@@ -482,6 +483,7 @@ class TestExitCodes:
             pytest.param({"batch_size": True}, "batch_size", id="batch_size-bool"),
             pytest.param({"learning_rate": True}, "learning_rate", id="learning_rate-bool"),
             pytest.param({"learning_rate": "0.1"}, "learning_rate", id="learning_rate-numeric-string"),
+            pytest.param({"learning_rate": 10**400}, "learning_rate", id="learning_rate-integer-past-float"),
             pytest.param({"train_data": 5}, "train_data", id="train_data-number"),
             pytest.param({"reg": {"d_min": False}}, "d_min", id="reg.d_min-bool"),
         ],
@@ -600,3 +602,42 @@ class TestExitCodes:
         path.write_text("{not json")
         assert cli(["export-filters", "--filters", str(path), "--out", str(tmp_path / "exp")]) == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b'{"range": ' + b"1" * 5000 + b"}"], ids=["not-utf8", "integer-past-digit-limit"]
+    )
+    def test_config_file_that_json_cannot_read(self, tmp_path, capsys, content):
+        path = tmp_path / "synth.json"
+        path.write_bytes(content)
+        assert cli(["gen-synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(lambda doc: doc.update(note=1), "'note'", id="top-level-unknown"),
+            pytest.param(lambda doc: doc.pop("range"), "'range'", id="range-missing"),
+            pytest.param(lambda doc: doc["range"].update(end_nm="630"), "'end_nm'", id="range-numeric-string"),
+            pytest.param(lambda doc: doc["range"].update(start_nm=True), "'start_nm'", id="range-bool"),
+            pytest.param(lambda doc: doc["range"].update(end_nm=float("inf")), "'end_nm'", id="range-infinity"),
+            pytest.param(lambda doc: doc["range"].update(end_nm=10**400), "'end_nm'", id="range-integer-past-float"),
+            pytest.param(lambda doc: doc["range"].update(center_nm=550), "'center_nm'", id="range-unknown"),
+            pytest.param(lambda doc: doc["filters"][0][0].update(c="0.5"), "'c'", id="peak-numeric-string"),
+            pytest.param(lambda doc: doc["filters"][0][1].update(alpha=True), "'alpha'", id="peak-bool"),
+            pytest.param(lambda doc: doc["filters"][1][0].update(gamma=float("nan")), "'gamma'", id="peak-nan"),
+            pytest.param(lambda doc: doc["filters"][1][0].update(gama=2), "'gama'", id="peak-unknown"),
+            pytest.param(lambda doc: doc["filters"][1][1].pop("log_bw"), "'log_bw'", id="peak-missing"),
+            pytest.param(lambda doc: doc["filters"][1].pop(), "'filters'", id="ragged"),
+            pytest.param(lambda doc: doc.update(filters=[]), "'filters'", id="no-filters"),
+            pytest.param(lambda doc: doc.update(filters=[[1.0, 2.0, 3.0, 4.0]]), "peak [0][0]", id="peak-not-object"),
+        ],
+    )
+    def test_export_filters_of_a_bad_value(self, tmp_path, capsys, edit, named):
+        doc = json.loads(init_filter_bank(2, 2, HYKO, seed=6).to_json())
+        edit(doc)
+        path = tmp_path / "filters.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "exp"
+        assert cli(["export-filters", "--filters", str(path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qefilters import FilterBankParams
 from qefilters.cli import (
     _REDUCE_KEYS,
     _REDUCE_REQUIRED,
@@ -42,8 +43,9 @@ def test_library_quick_start_runs_with_the_commented_shapes():
         ("### gen-synth config", _synth_specs),
         ("### train config", _train_settings),
         ("### reduce config", lambda doc: _read_config(doc, _REDUCE_REQUIRED, _REDUCE_KEYS, "reduce config")),
+        ("### Filter-bank JSON", FilterBankParams.from_json_dict),
     ],
-    ids=["gen-synth", "train", "reduce"],
+    ids=["gen-synth", "train", "reduce", "filter-bank"],
 )
 def test_config_block_passes_the_cli_reader(heading, reader):
     # The readers reject a key they do not know, so every documented key must be one.

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from qefilters import (
-    EPSILON,
-    FilterBankParams,
+from qefilters.filterbank import EPSILON, FilterBankParams, WavelengthRange, init_filter_bank
+from qefilters.regularization import (
     RegConfig,
     RegLosses,
-    WavelengthRange,
     bandwidth_loss,
     dominance_loss,
-    init_filter_bank,
     separation_loss,
     total_reg,
 )
 from qefilters.errors import ConfigurationError
 from qefilters.regularization import BETA_MAX, BETA_MIN, R_MAX
+
+from oracles import lobe_certificates
 
 HYKO = WavelengthRange(470.0, 630.0)
 
@@ -174,6 +173,37 @@ class TestTotal:
             RegConfig(enabled=("dominance", "sharpness"))
         with pytest.raises(ConfigurationError):
             RegConfig(lambda_reg=-0.1)
+
+
+class TestLobeCertificate:
+    """What the penalties bound: peak parameters, not the summed curve's lobes."""
+
+    def test_symmetric_single_peak(self):
+        (cert,) = lobe_certificates(bank_from([[0.5]], [[0.05]], [[0.9]]))
+        assert cert.maxima_nm == pytest.approx((550.0,), abs=0.01)
+        assert cert.second_over_first == 0.0
+        assert cert.fwhm_nm == pytest.approx(2 * np.sqrt(2 * np.log(2)) * 0.05 * HYKO.span_nm, rel=1e-6)
+        assert cert.peak_inside
+
+    def test_peak_outside_the_range(self):
+        (cert,) = lobe_certificates(bank_from([[1.2]], [[0.05]], [[0.9]]))
+        assert cert.maxima_nm == ()
+        assert cert.second_over_first == 0.0
+        assert cert.fwhm_nm == pytest.approx(2 * np.sqrt(2 * np.log(2)) * 0.05 * HYKO.span_nm, rel=1e-6)
+        assert not cert.peak_inside
+
+    def test_two_lobes_pass_the_dominance_penalty(self):
+        # A secondary peak of 0.2 / 0.75 = 0.27 of the dominant amplitude is
+        # under R_MAX, but skewed towards each other the two sum to a curve
+        # with two maxima of nearly equal height.
+        bank = bank_from([[0.1, 0.25]], [[0.1, 0.1]], [[0.2, 0.75]], skews=[[1.5, 1.5]])
+        (cert,) = lobe_certificates(bank)
+        positions = (np.array(cert.maxima_nm) - HYKO.start_nm) / HYKO.span_nm
+        np.testing.assert_allclose(positions, [0.171, 0.231], atol=5e-4)
+        assert cert.second_over_first == pytest.approx(0.9987, abs=1e-4)
+        assert cert.second_over_first > R_MAX
+        assert dominance_loss(bank, R_MAX)[0] == 0.0
+        assert cert.peak_inside
 
 
 def away_from_kinks(bank, cfg, margin=1e-3):

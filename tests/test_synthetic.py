@@ -3,9 +3,9 @@ import sys
 import numpy as np
 import pytest
 
-from qefilters import ConfigurationError, SpectralBump, SynthSpec, gen_synthetic, mixture_spectrum
+from qefilters import ConfigurationError, SpectralBump, SynthSpec, gen_synthetic
 from qefilters import projection, synthetic
-from qefilters.synthetic import spec_from_dict
+from qefilters.synthetic import mixture_spectrum, spec_from_dict
 
 from oracles import dense_nearest_center, serial_synthetic
 from tasks import metameric_spec, planted3_spec

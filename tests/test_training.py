@@ -25,17 +25,24 @@ from qefilters import (
     inverse_frequency_weights,
     normalize_wavelengths,
     predict,
-    seg_loss,
-    soft_dice,
     train,
-    weighted_cross_entropy,
 )
 from qefilters.filterbank import FilterBankParams, WavelengthRange
 from qefilters.metrics import IGNORE_LABEL
 from qefilters.projection import _contract_channels, apply_filter_bank
 from qefilters.regularization import total_reg
 from qefilters import projection, training
-from qefilters.training import AdamW, TrainReport, _argmax_classes, _bank_state, _batch_gradients, make_head
+from qefilters.training import (
+    AdamW,
+    TrainReport,
+    _argmax_classes,
+    _bank_state,
+    _batch_gradients,
+    make_head,
+    seg_loss,
+    soft_dice,
+    weighted_cross_entropy,
+)
 from qefilters.rng import make_generator
 
 from oracles import (
