@@ -23,12 +23,19 @@ checks, at the offsets the file would have had, so a cube is written only
 if its bytes would parse. Reflectance is stored as float32 and widened to
 float64 in memory.
 
-One parser reads a stream front to back: :func:`read_cube` runs it over the
-open file and :func:`parse_cube` over ``io.BytesIO``. It checks every declared
-size against the stream's length before it reads or allocates for it, and
-reads the float32 payload ``_CHUNK_VALUES`` values at a time into one reused
-buffer, checking each chunk for finiteness and widening it straight into the
-float64 cube. So the only payload-sized allocation of a read is the cube
+One parser reads a file or a buffer by position: :func:`read_cube` reads the
+open file with ``os.preadv`` and :func:`parse_cube` copies out of the bytes,
+through the same ``_Cursor.read_at(offset, out)``. It checks every declared
+size against the length before it reads or allocates for it. The float32
+payload is read image block by image block on the package's thread pool
+(``projection._each_image_block``, with work C·H·W per image): each block
+reads its own images' bytes ``_CHUNK_VALUES`` values at a time into its own
+buffer, checks each chunk for finiteness and widens it straight into its
+slice of the float64 cube. A failure names the first non-finite value in
+file order, since failures come back in block order. The blocks' buffers
+are allocated on the calling thread before the blocks start, because a
+buffer allocated on a pool thread stays in that thread's malloc arena after
+it is freed. So the only payload-sized allocation of a read is the cube
 itself, and the cube is not checked again when it is wrapped.
 :func:`write_cube` holds one payload-sized array, the float32 copy of the
 cube, and writes it to the file directly.
@@ -36,7 +43,6 @@ cube, and writes it to the file directly.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass
@@ -45,6 +51,7 @@ import numpy as np
 
 from .errors import DataError
 from .metrics import IGNORE_LABEL, _check_integer_labels
+from . import projection
 from .projection import Hypercube
 
 MAGIC = b"HYPC"
@@ -72,14 +79,16 @@ class LabelMap:
 
 
 class _Cursor:
-    """Reads a binary stream of ``size`` bytes front to back.
+    """Reads ``size`` bytes of an open file descriptor or of a byte memoryview by position.
 
-    Every read checks first that the stream holds the bytes it asks for, so
-    a corrupt header cannot trigger a huge allocation.
+    ``offset`` is where parsing has reached. Every read checks first that the
+    source holds the bytes it asks for, so a corrupt header cannot trigger a
+    huge allocation. Reads share no stream position, so threads may read
+    different ranges at once.
     """
 
-    def __init__(self, stream, size: int):
-        self.stream = stream
+    def __init__(self, source: int | memoryview, size: int):
+        self.source = source
         self.size = size
         self.offset = 0
 
@@ -88,21 +97,25 @@ class _Cursor:
         if end > self.size:
             raise CubeFormatError(f"truncated file: expected {end} bytes, have {self.size}", self.offset)
 
-    def read_into(self, out: np.ndarray) -> np.ndarray:
-        """Fill ``out``, a contiguous array, with the next ``out.nbytes`` bytes."""
-        self.need(out.nbytes)
+    def read_at(self, offset: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, a contiguous array, with the ``out.nbytes`` bytes at ``offset``."""
         view = memoryview(out).cast("B")
+        if isinstance(self.source, memoryview):
+            view[:] = self.source[offset : offset + len(view)]
+            return out
         while view:
-            got = self.stream.readinto(view)
-            if not got:  # the file shrank while it was read
-                raise CubeFormatError(f"truncated file: expected {self.size} bytes, have {self.offset}", self.offset)
+            got = os.preadv(self.source, [view], offset)
+            if not got:  # the file shrank after its size was read
+                raise CubeFormatError(f"truncated file: expected {self.size} bytes, have {offset}", offset)
             view = view[got:]
-            self.offset += got
+            offset += got
         return out
 
     def array(self, count: int, dtype: str) -> np.ndarray:
         self.need(count * np.dtype(dtype).itemsize)
-        return self.read_into(np.empty(count, dtype))
+        out = self.read_at(self.offset, np.empty(count, dtype))
+        self.offset += out.nbytes
+        return out
 
     def take(self, count: int) -> bytes:
         return self.array(count, "u1").tobytes()
@@ -154,9 +167,9 @@ def _check_labels(values: np.ndarray, num_classes: int, ignore_value: int, offse
         raise CubeFormatError(f"label {label} outside [0, {num_classes}) and not the ignore value", offset + 2 * bad)
 
 
-def _parse(stream, size: int) -> tuple[Hypercube, LabelMap | None]:
-    """Parse the byte layout above from a binary stream of ``size`` bytes."""
-    cur = _Cursor(stream, size)
+def _parse(source: int | memoryview, size: int) -> tuple[Hypercube, LabelMap | None]:
+    """Parse the byte layout above from ``size`` bytes of a file descriptor or a memoryview."""
+    cur = _Cursor(source, size)
     if cur.take(4) != MAGIC:
         raise CubeFormatError(f"bad magic, expected {MAGIC!r}", 0)
     (version,) = struct.unpack("<H", cur.take(2))
@@ -167,14 +180,23 @@ def _parse(stream, size: int) -> tuple[Hypercube, LabelMap | None]:
     wavelengths = cur.array(c, "<f8").astype(float)
     _check_wavelengths(wavelengths, 22)
     data_off = cur.offset
-    count = b * c * h * w
+    per_image = c * h * w
+    count = b * per_image
     cur.need(4 * count)
     data = np.empty(count)
-    chunk = np.empty(min(count, _CHUNK_VALUES), "<f4")
-    for start in range(0, count, len(chunk)):
-        stored = cur.read_into(chunk[: count - start])
-        _check_reflectance(stored, data_off, start)
-        data[start : start + len(stored)] = stored
+    # A buffer for each block (at most one per usable CPU and one per image),
+    # made on this thread; each block takes one when it starts.
+    chunks = [np.empty(min(count, _CHUNK_VALUES), "<f4") for _ in range(min(b, projection._usable_cpus()))]
+
+    def fill(lo, hi):
+        chunk, stop = chunks.pop(), hi * per_image
+        for start in range(lo * per_image, stop, len(chunk)):
+            stored = cur.read_at(data_off + 4 * start, chunk[: stop - start])
+            _check_reflectance(stored, data_off, start)
+            data[start : start + len(stored)] = stored
+
+    projection._each_image_block(fill, b, per_image)
+    cur.offset += 4 * count
     # Every check Hypercube makes has been made above, on the stored values.
     cube = Hypercube._checked(data.reshape(b, c, h, w), wavelengths)
 
@@ -203,7 +225,7 @@ def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
     array. The arrays returned are copies and never alias it.
     """
     blob = memoryview(blob).cast("B")
-    return _parse(io.BytesIO(blob), len(blob))
+    return _parse(blob, len(blob))
 
 
 def _encode(cube: Hypercube, labels: LabelMap | None) -> tuple[bytes, np.ndarray, bytes]:
@@ -253,9 +275,9 @@ def serialize_cube(cube: Hypercube, labels: LabelMap | None = None) -> bytes:
 
 
 def read_cube(path) -> tuple[Hypercube, LabelMap | None]:
-    """:func:`parse_cube` of the file's bytes, read from the file in chunks."""
+    """:func:`parse_cube` of the file's bytes, read from the file by position."""
     with open(path, "rb", buffering=0) as f:
-        return _parse(f, os.fstat(f.fileno()).st_size)
+        return _parse(f.fileno(), os.fstat(f.fileno()).st_size)
 
 
 def write_cube(cube: Hypercube, labels: LabelMap | None, path) -> None:

@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qefilters import DataError, Hypercube, cubeio
+from qefilters import DataError, Hypercube, cubeio, projection
 from qefilters.cubeio import CubeFormatError, LabelMap, parse_cube, read_cube, serialize_cube, write_cube
 
 
@@ -208,6 +210,125 @@ class TestChunkedRead:
         with pytest.raises(CubeFormatError, match=f"truncated file: .* have {len(blob)}") as err:
             read_cube(path)
         assert err.value.offset == offset
+
+
+class TestBlockRead:
+    """The payload is read image block by image block, each block in chunks of 7 values.
+
+    Under ``under_workers`` the 3 images of 60 values split into blocks of
+    whole images, and each block reads its images' bytes by position.
+    """
+
+    VALUES_PER_IMAGE = 5 * 4 * 3
+    DATA_OFF = 22 + 8 * 5
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(cubeio, "_CHUNK_VALUES", 7)
+
+    @staticmethod
+    def written(tmp_path, with_labels=True):
+        cube, labels = sample_cube(seed=7, b=3, c=5, h=4, w=3, with_labels=with_labels)
+        path = tmp_path / "cube.hypc"
+        write_cube(cube, labels, path)
+        return cube, labels, path
+
+    @staticmethod
+    def errors(path, blob):
+        """The message and offset that ``read_cube`` and ``parse_cube`` raise."""
+        raised = []
+        for parse in (lambda: read_cube(path), lambda: parse_cube(blob)):
+            with pytest.raises(CubeFormatError) as err:
+                parse()
+            raised.append((str(err.value), err.value.offset))
+        return raised
+
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_same_bytes_under_any_worker_count(self, tmp_path, under_workers, with_labels):
+        cube, labels, path = self.written(tmp_path, with_labels)
+        blob = path.read_bytes()
+
+        def read():
+            return [
+                (got.data.tobytes(), got_labels and got_labels.values.tobytes())
+                for got, got_labels in (read_cube(path), parse_cube(blob))
+            ]
+
+        expected = [(cube.data.tobytes(), labels and labels.values.tobytes())] * 2
+        for result in under_workers(read):
+            assert result == expected
+
+    # Images 0 and 2 fall in different blocks under 2 and 3 workers, images 1
+    # and 2 under 3; with the first block held back, the later failure
+    # happens first.
+    @pytest.mark.parametrize("images", [(0, 2), (1, 2)])
+    def test_first_non_finite_value_in_file_order_named(self, tmp_path, under_workers, images):
+        _, _, path = self.written(tmp_path)
+        blob = bytearray(path.read_bytes())
+        indices = [images[0] * self.VALUES_PER_IMAGE + 9, images[1] * self.VALUES_PER_IMAGE + 2]
+        for index in indices:
+            at = self.DATA_OFF + 4 * index
+            blob[at : at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(blob)
+        at = self.DATA_OFF + 4 * indices[0]
+        expected = [(f"reflectance value {indices[0]} is not finite (at byte offset {at})", at)] * 2
+        for result in under_workers(lambda: self.errors(path, bytes(blob))):
+            assert result == expected
+
+    # The file shrinks to ``have`` bytes after its size was read: in the
+    # header, in the second image's payload, in the labels.
+    @pytest.mark.parametrize("have", [10, 22 + 8 * 5 + 4 * 70 + 1, -3])
+    def test_file_shrinking_while_read(self, tmp_path, monkeypatch, under_workers, have):
+        _, _, path = self.written(tmp_path)
+        size = path.stat().st_size
+        have %= size
+        preadv = os.preadv
+
+        def shrunk(fd, buffers, offset):
+            (view,) = buffers
+            return preadv(fd, [view[: max(0, have - offset)]], offset)
+
+        monkeypatch.setattr(os, "preadv", shrunk)
+
+        def error():
+            with pytest.raises(CubeFormatError) as err:
+                read_cube(path)
+            return str(err.value), err.value.offset
+
+        expected = (f"truncated file: expected {size} bytes, have {have} (at byte offset {have})", have)
+        for result in under_workers(error):
+            assert result == expected
+
+
+class TestPayloadRouting:
+    """Which payload fills reach the pool on 2 usable CPUs: the work per image is C·H·W."""
+
+    @pytest.mark.parametrize(
+        "dims, pooled",
+        [
+            pytest.param((4, 25, 256, 256), True, id="hsidrive"),
+            pytest.param((4, 128, 64, 64), True, id="wide"),
+            pytest.param((2, 3, 2, 2), False, id="sample"),
+            pytest.param((3, 5, 4, 3), False, id="chunked"),
+        ],
+    )
+    def test_payload_fill_reaches_the_pool(self, tmp_path, monkeypatch, dims, pooled):
+        b, c, h, w = dims
+        path = tmp_path / "cube.hypc"
+        write_cube(Hypercube(np.zeros(dims), np.linspace(600.0, 975.0, c)), None, path)
+        calls = []  # (images, work, ran on the pool)
+        each_image_block = projection._each_image_block
+
+        def recorded(fn, count, work):
+            results = each_image_block(fn, count, work)
+            calls.append((count, work, len(results) > 1))
+            return results
+
+        monkeypatch.setattr(projection, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(projection, "_each_image_block", recorded)
+        read_cube(path)
+        parse_cube(path.read_bytes())
+        assert calls == [(b, c * h * w, pooled)] * 2
 
 
 class TestFuzzSmoke:
