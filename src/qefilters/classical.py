@@ -154,9 +154,11 @@ def fit_band_stats(sample: PixelSample) -> BandStats:
 
 
 def _standardize(x: np.ndarray, stats: BandStats) -> np.ndarray:
-    """``(x - mean) / std`` band by band, for an ``x`` with its bands on axis 1."""
+    """``(x - mean) / std`` band by band, in one new array, for an ``x`` with its bands on axis 1."""
     per_band = (-1,) + (1,) * (x.ndim - 2)
-    return (x - stats.mean.reshape(per_band)) / stats.std.reshape(per_band)
+    out = x - stats.mean.reshape(per_band)
+    out /= stats.std.reshape(per_band)
+    return out
 
 
 def fit_pca(matrix: np.ndarray, num_components: int) -> LinearProjection:
@@ -236,18 +238,15 @@ def fit_nmf(
 
 
 def project(cube: Hypercube, stats: BandStats, projection: LinearProjection) -> np.ndarray:
-    """Standardize, apply the NMF shift if any, then matrix-multiply per pixel."""
-    if stats.mean.size != cube.dims[1]:
-        raise DataError(
-            f"stats cover {stats.mean.size} bands but cube has {cube.dims[1]}"
-        )
+    """Check both band counts, standardize, add any NMF shift in place, then matrix-multiply per pixel."""
+    bands = cube.dims[1]
+    if stats.mean.size != bands:
+        raise DataError(f"stats cover {stats.mean.size} bands but cube has {bands}")
+    if projection.components.shape[1] != bands:
+        raise DataError(f"projection covers {projection.components.shape[1]} bands but cube has {bands}")
     data = _standardize(cube.data, stats)
-    if projection.components.shape[1] != cube.dims[1]:
-        raise DataError(
-            f"projection covers {projection.components.shape[1]} bands but cube has {cube.dims[1]}"
-        )
     if projection.shift is not None:
-        data = data + projection.shift[None, :, None, None]
+        data += projection.shift[None, :, None, None]
     return np.einsum("fc,bchw->bfhw", projection.components, data)
 
 

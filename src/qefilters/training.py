@@ -31,15 +31,15 @@ configs and data reproduce runs bit-for-bit under any thread count.
 Validation and allocation happen at fixed places. A cube is checked once,
 when it is built or read. ``train`` allocates one data buffer and one label
 buffer for a batch; each step copies its images into them and wraps the
-filled part in ``Hypercube._checked``, which checks nothing again. A step
-allocates its activations and, in the loss, one softmax array per term,
-which the term turns into its gradient in place: cross-entropy gathers and
-scatters at the label, and Dice selects each pixel's per-class gradient with
-a boolean one-hot, image by image in one image-sized array per block of
-images. The heads add biases and apply ``tanh`` in place. The bank and
+filled part in ``Hypercube._checked``, which checks nothing again.
+``seg_loss`` checks its labels once and computes one softmax that both terms
+read: cross-entropy scatters at the label into a new gradient array, then
+Dice turns the softmax into its gradient in place, selecting each pixel's
+per-class gradient with a boolean one-hot, one image-sized array per block
+of images. The heads add biases and apply ``tanh`` in place. The bank and
 its regularizers are evaluated once at the start and once after every
-optimizer step; the next batch, the two epoch-end evaluation passes and the
-epoch record all reuse that evaluation.
+optimizer step; the next batch, the epoch-end evaluations and the epoch
+record all reuse that evaluation.
 """
 
 from __future__ import annotations
@@ -197,33 +197,19 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.
 
 
 def weighted_cross_entropy(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    class_weights: np.ndarray,
+    probs: np.ndarray, target: np.ndarray, mask: np.ndarray, class_weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Weighted mean negative log-softmax over labelled pixels.
+    """Weighted mean negative log-softmax over labelled pixels, and its logit gradient.
 
-    Normalizes by the summed weights of the contributing pixels, so uniform
-    weights give the plain per-pixel mean.
+    Reads the softmax ``probs``; ``seg_loss`` checks the rest. Normalizes by
+    the summed weights of the contributing pixels, so uniform weights give
+    the plain per-pixel mean.
     """
-    num_classes = logits.shape[1]
-    weights = np.asarray(class_weights, dtype=float)
-    if weights.shape != (num_classes,):
-        raise ConfigurationError(f"class weights must have shape ({num_classes},)")
-    if not np.all(weights >= 0):  # NaN fails this too
-        raise ConfigurationError("class weights must be non-negative numbers")
-    target, mask = _check_labels(labels, num_classes)
-    if not mask.any():
-        raise DataError("all pixels are ignored; cross-entropy undefined")
-
-    probs = _softmax(logits)
-    pix_w = np.empty(target.shape)
-    p_y = np.empty(target.shape)
-    weighted_log_p = np.empty(target.shape)
+    pix_w, p_y, weighted_log_p = (np.empty(target.shape) for _ in range(3))
 
     def log_likelihood(lo, hi):
         w, log_p = pix_w[lo:hi], weighted_log_p[lo:hi]
-        np.take(weights, target[lo:hi], out=w, mode="clip")  # the labels are checked
+        np.take(class_weights, target[lo:hi], out=w, mode="clip")  # the labels are checked
         w *= mask[lo:hi]  # zero where ignored
         p_y[lo:hi] = np.take_along_axis(probs[lo:hi], target[lo:hi], axis=1)
         np.maximum(p_y[lo:hi], np.finfo(float).tiny, out=log_p)
@@ -235,29 +221,29 @@ def weighted_cross_entropy(
     if w_total <= 0:
         raise ConfigurationError("total class weight over present labels is zero")
     value = float(-np.sum(weighted_log_p) / w_total)
+    del weighted_log_p  # before the gradient array, which would otherwise raise the peak
+    grad = np.empty_like(probs)
 
-    # (probs - onehot) * pix_w / w_total, built in the softmax's array
+    # (probs - onehot) * pix_w / w_total
     def gradient(lo, hi):
         p_y[lo:hi] -= mask[lo:hi]
-        np.put_along_axis(probs[lo:hi], target[lo:hi], p_y[lo:hi], axis=1)
+        np.copyto(grad[lo:hi], probs[lo:hi])
+        np.put_along_axis(grad[lo:hi], target[lo:hi], p_y[lo:hi], axis=1)
         pix_w[lo:hi] /= w_total
-        probs[lo:hi] *= pix_w[lo:hi]
+        grad[lo:hi] *= pix_w[lo:hi]
 
     _each_image_block(gradient, len(probs), _image_values(probs))
-    return value, probs
+    return value, grad
 
 
-def soft_dice(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def soft_dice(p: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Soft Dice on softmax probabilities, averaged over all classes.
 
     1 - mean_k (2 * sum(p_k * g_k) + s) / (sum(p_k) + sum(g_k) + s), with
-    smoothing s = 1, one-hot targets g and sums over labelled pixels.
+    smoothing s = 1, one-hot targets g and sums over labelled pixels. Turns
+    the softmax ``p`` into the logit gradient in place.
     """
-    num_classes = logits.shape[1]
-    target, mask = _check_labels(labels, num_classes)
-    if not mask.any():
-        raise DataError("all pixels are ignored; Dice undefined")
-    p = _softmax(logits)
+    num_classes = p.shape[1]
     classes = np.arange(num_classes)[:, None, None]
     onehot = np.empty(p.shape, dtype=bool)  # labelled pixels of each class
 
@@ -307,9 +293,22 @@ def soft_dice(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
 
 
 def seg_loss(logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """Combined class-weighted cross-entropy and soft Dice, unit weights each."""
-    ce, grad = weighted_cross_entropy(logits, labels, class_weights)
-    dice, dice_grad = soft_dice(logits, labels)
+    """Combined class-weighted cross-entropy and soft Dice, unit weights each, on one softmax."""
+    num_classes = logits.shape[1]
+    weights = np.asarray(class_weights, dtype=float)
+    if weights.shape != (num_classes,):
+        raise ConfigurationError(f"class weights must have shape ({num_classes},)")
+    if not np.all(weights >= 0):  # NaN fails this too
+        raise ConfigurationError("class weights must be non-negative numbers")
+    expected = (len(logits),) + logits.shape[2:]
+    if np.shape(labels) != expected:
+        raise DataError(f"labels have shape {np.shape(labels)}, not (B, H, W) {expected} of logits {logits.shape}")
+    target, mask = _check_labels(labels, num_classes)
+    if not mask.any():
+        raise DataError("all pixels are ignored; the loss is undefined")
+    probs = _softmax(logits)
+    ce, grad = weighted_cross_entropy(probs, target, mask, weights)
+    dice, dice_grad = soft_dice(probs, target, mask)
     grad += dice_grad
     return ce + dice, grad
 

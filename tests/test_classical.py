@@ -12,6 +12,7 @@ from qefilters import (
     fit_reduction_pipeline,
     project,
 )
+from qefilters import classical
 from qefilters.classical import (
     BandStats,
     LinearProjection,
@@ -318,6 +319,23 @@ class TestProject:
         stats = BandStats(mean=np.zeros(3), std=np.ones(3))
         with pytest.raises(DataError, match="stats cover 3 bands"):
             project(cube, stats, LinearProjection(kind="pca", components=np.eye(4)))
+
+    def test_projection_of_another_band_count_rejected_before_standardizing(self, monkeypatch):
+        cube, _ = labeled_cube(21, 1, 2, 2, channels=4)
+        stats = BandStats(mean=np.zeros(4), std=np.ones(4))
+        standardized = []
+        monkeypatch.setattr(classical, "_standardize", lambda *args: standardized.append(args))
+        with pytest.raises(DataError, match="projection covers 3 bands but cube has 4"):
+            project(cube, stats, LinearProjection(kind="pca", components=np.eye(3)))
+        assert standardized == []
+
+    def test_leaves_the_cube_alone(self):
+        cube, _ = labeled_cube(22, 2, 3, 3, channels=3)
+        before = cube.data.copy()
+        stats = BandStats(mean=np.array([0.1, 0.2, 0.3]), std=np.array([1.0, 2.0, 0.5]))
+        proj = LinearProjection(kind="nmf", components=np.ones((2, 3)), shift=np.ones(3))
+        project(cube, stats, proj)
+        np.testing.assert_array_equal(cube.data, before)
 
 
 class TestPipeline:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple, replace
@@ -57,6 +58,28 @@ from tasks import planted3_config, planted3_data, planted3_spec
 HYKO = WavelengthRange(470.0, 630.0)
 
 
+def loss_terms(logits, labels, weights):
+    """Both loss terms and their gradients on one softmax, as ``seg_loss`` calls them."""
+    target, mask = training._check_labels(labels, logits.shape[1])
+    probs = training._softmax(logits)
+    ce, ce_grad = weighted_cross_entropy(probs, target, mask, weights)
+    dice, dice_grad = soft_dice(probs, target, mask)
+    return ce, ce_grad, dice, dice_grad
+
+
+def record_calls(monkeypatch, name):
+    """Wrap ``training.<name>`` for the test; returns the list of its calls' arguments."""
+    calls = []
+    original = getattr(training, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(training, name, recorded)
+    return calls
+
+
 class TestSegLoss:
     def test_perfect_prediction_near_zero(self):
         labels = np.array([[[0, 1], [2, 1]]])
@@ -70,7 +93,7 @@ class TestSegLoss:
         logits = np.zeros((1, 2, 3, 3))
         labels = np.zeros((1, 3, 3), dtype=int)
         labels[0, 1] = 1
-        ce, _ = weighted_cross_entropy(logits, labels, np.ones(2))
+        ce, _, _, _ = loss_terms(logits, labels, np.ones(2))
         assert ce == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -113,7 +136,38 @@ class TestSegLoss:
     def test_class_weights_must_be_non_negative_numbers(self, bad):
         logits = np.zeros((1, 2, 1, 2))
         with pytest.raises(ConfigurationError, match="class weights"):
-            weighted_cross_entropy(logits, np.array([[[0, 1]]]), np.array([bad, 1.0]))
+            seg_loss(logits, np.array([[[0, 1]]]), np.array([bad, 1.0]))
+
+    def test_class_weights_must_have_one_per_class(self):
+        with pytest.raises(ConfigurationError, match=r"class weights must have shape \(2,\)"):
+            seg_loss(np.zeros((1, 2, 1, 2)), np.array([[[0, 1]]]), np.ones(3))
+
+    # Labels that numpy would broadcast against a (2, 3, 4, 4) batch, or
+    # that index it out of range.
+    @pytest.mark.parametrize(
+        "shape", [(1, 4, 4), (4, 4), (1, 1, 4), (2, 4, 1), (2, 4, 5), (2, 1, 4, 4)],
+        ids=["one-image", "2-d", "row", "column", "wider", "4-d"],
+    )
+    def test_labels_must_have_the_logits_batch_and_plane_shape(self, monkeypatch, shape):
+        softmax_calls = record_calls(monkeypatch, "_softmax")
+        logits = np.zeros((2, 3, 4, 4))
+        message = re.escape(f"labels have shape {shape}, not (B, H, W) (2, 4, 4) of logits (2, 3, 4, 4)")
+        with pytest.raises(DataError, match=message):
+            seg_loss(logits, np.zeros(shape, dtype=int), np.ones(3))
+        assert softmax_calls == []
+
+    def test_all_pixels_ignored(self, monkeypatch):
+        softmax_calls = record_calls(monkeypatch, "_softmax")
+        with pytest.raises(DataError, match="all pixels are ignored"):
+            seg_loss(np.zeros((1, 2, 2, 2)), np.full((1, 2, 2), IGNORE_LABEL), np.ones(2))
+        assert softmax_calls == []
+
+    def test_one_softmax_and_one_label_check_per_call(self, monkeypatch):
+        softmax_calls = record_calls(monkeypatch, "_softmax")
+        label_checks = record_calls(monkeypatch, "_check_labels")
+        logits = np.random.default_rng(3).normal(size=(2, 3, 4, 4))
+        seg_loss(logits, np.random.default_rng(4).integers(0, 3, (2, 4, 4)), np.ones(3))
+        assert (len(softmax_calls), len(label_checks)) == (1, 1)
 
     @staticmethod
     def _dense_case(name):
@@ -146,26 +200,30 @@ class TestSegLoss:
     )
     def test_terms_equal_dense_one_hot_oracle(self, name):
         logits, labels, weights = self._dense_case(name)
-        before = logits.copy()
-        ce, ce_grad = weighted_cross_entropy(logits, labels, weights)
+        target, mask = training._check_labels(labels, logits.shape[1])
+        probs = training._softmax(logits)
+        before = probs.copy()
+        ce, ce_grad = weighted_cross_entropy(probs, target, mask, weights)
+        np.testing.assert_array_equal(probs, before)  # cross-entropy reads the softmax only
         ref_ce, ref_ce_grad = dense_weighted_cross_entropy(logits, labels, weights, IGNORE_LABEL)
         assert ce == ref_ce
         np.testing.assert_array_equal(ce_grad, ref_ce_grad)
-        dice, dice_grad = soft_dice(logits, labels)
+        dice, dice_grad = soft_dice(probs, target, mask)
         ref_dice, ref_dice_grad = dense_soft_dice(logits, labels, IGNORE_LABEL)
         assert dice == ref_dice
         np.testing.assert_array_equal(dice_grad, ref_dice_grad)
+        before = logits.copy()
         value, grad = seg_loss(logits, labels, weights)
         assert value == ref_ce + ref_dice
         np.testing.assert_array_equal(grad, ref_ce_grad + ref_dice_grad)
-        np.testing.assert_array_equal(logits, before)  # the terms leave their input alone
+        np.testing.assert_array_equal(logits, before)  # the loss leaves its input alone
 
     def test_dice_component_zero_for_perfect(self):
         labels = np.array([[[0, 1], [1, 0]]])
         logits = np.full((1, 2, 2, 2), -20.0)
         for b, h, w in np.ndindex(1, 2, 2):
             logits[b, labels[b, h, w], h, w] = 20.0
-        dice, _ = soft_dice(logits, labels)
+        _, _, dice, _ = loss_terms(logits, labels, np.ones(2))
         assert dice == pytest.approx(0.0, abs=1e-8)
 
 
@@ -201,8 +259,7 @@ class TestWorkerCount:
         weights = rng.random(4) * 3.0
 
         def run():
-            ce, ce_grad = weighted_cross_entropy(logits, labels, weights)
-            dice, dice_grad = soft_dice(logits, labels)
+            ce, ce_grad, dice, dice_grad = loss_terms(logits, labels, weights)
             value, grad = seg_loss(logits, labels, weights)
             values = np.array([ce, dice, value]).tobytes()
             return values + ce_grad.tobytes() + dice_grad.tobytes() + grad.tobytes() + _argmax_classes(logits).tobytes()
