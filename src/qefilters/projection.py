@@ -40,10 +40,10 @@ A :class:`Hypercube` checks its data when it is built, and nothing here
 checks it again. :func:`apply_filter_bank` and :func:`backward` read a
 contiguous cube in place and return plain arrays: the (B, F, H, W) reduced
 cube and the (F, P, 4) parameter gradient. The large arrays they allocate
-are their results.
-``Hypercube._checked`` lets the file reader, which has already checked the
-stored values, and ``train``'s batch buffer, which holds images of a checked
-cube, skip the check.
+are their results. ``train`` reads each batch's images in place through the
+two helpers' image index, and chains dL/dQ with :func:`_chain`, the second
+half of :func:`backward`. ``Hypercube._checked`` lets the file reader, which
+has already checked the stored values, skip the check.
 """
 
 from __future__ import annotations
@@ -97,11 +97,10 @@ class Hypercube:
     def _checked(cls, data: np.ndarray, wavelengths_nm: np.ndarray) -> "Hypercube":
         """A cube over arrays that already pass every check of the constructor.
 
-        For the file reader, which has checked the stored values, and for
-        ``train``'s batch buffer, filled with images of a checked cube:
-        ``data`` is a finite float64 (B, C, H, W) array and ``wavelengths_nm``
-        a finite, strictly increasing float64 vector of length C. Nothing is
-        checked again.
+        For the file reader, which has checked the stored values: ``data`` is
+        a finite float64 (B, C, H, W) array and ``wavelengths_nm`` a finite,
+        strictly increasing float64 vector of length C. Nothing is checked
+        again.
         """
         cube = cls.__new__(cls)
         cube.data, cube.wavelengths_nm = data, wavelengths_nm
@@ -190,45 +189,51 @@ def _each_image_block(fn, count: int, work: int) -> list:
     return [first] + [job.result() for job in jobs]
 
 
-def _contract_channels(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[b,f,h,w] = sum_c matrix[f,c] * x[b,c,h,w], as one GEMM per image.
+def _contract_channels(matrix: np.ndarray, x: np.ndarray, images=None) -> np.ndarray:
+    """out[i,f,h,w] = sum_c matrix[f,c] * x[images[i],c,h,w], as one GEMM per image.
 
     ``matrix`` is (F, C) and may be a transposed view; ``x`` is (B, C, H, W)
-    and may be any view (a non-contiguous one is copied by the reshape).
+    and may be any view (a non-contiguous image is copied by the reshape).
+    ``images`` indexes ``x``'s images, each read in place; by default every
+    image, in order.
     """
-    b, c, h, w = x.shape
-    out = np.empty((b, matrix.shape[0], h * w))
+    images = range(len(x)) if images is None else images
+    c, h, w = x.shape[1:]
+    out = np.empty((len(images), matrix.shape[0], h * w))
 
     def contract(lo, hi):
-        np.matmul(matrix, x[lo:hi].reshape(hi - lo, c, h * w), out=out[lo:hi])
+        for i in range(lo, hi):
+            np.matmul(matrix, x[images[i]].reshape(c, h * w), out=out[i])
 
-    _each_image_block(contract, b, _image_values(x, out))
-    return out.reshape(b, matrix.shape[0], h, w)
+    _each_image_block(contract, len(images), _image_values(x, out))
+    return out.reshape(len(images), matrix.shape[0], h, w)
 
 
-def _reduce_pixels(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[f,c] = sum_{b,h,w} a[b,f,h,w] * x[b,c,h,w], in fixed pixel blocks.
+def _reduce_pixels(a: np.ndarray, x: np.ndarray, images=None) -> np.ndarray:
+    """out[f,c] = sum_{i,h,w} a[i,f,h,w] * x[images[i],c,h,w], in fixed pixel blocks.
 
-    ``a`` is (B, F, H, W) and ``x`` is (B, C, H, W); either may be any view
-    (a non-contiguous image is copied by the reshape). Adds
-    ``a_blk @ x_blk.T`` over blocks of ``_PIXEL_BLOCK`` pixels, image by image
-    and block by block in order, starting from zeros; the products are
+    ``a`` is (N, F, H, W) and ``x`` is (B, C, H, W); either may be any view
+    (a non-contiguous image is copied by the reshape). ``images`` indexes
+    ``x``'s images, each read in place; by default every image, in order.
+    Adds ``a_blk @ x_blk.T`` over blocks of ``_PIXEL_BLOCK`` pixels, image by
+    image and block by block in order, starting from zeros; the products are
     computed image by image on the workers and added on the calling thread.
     """
+    images = range(len(x)) if images is None else images
     pixels = a.shape[2] * a.shape[3]
 
     def products(lo, hi):
         out = []
-        for a_img, x_img in zip(a[lo:hi], x[lo:hi]):
-            a_img = a_img.reshape(-1, pixels)
-            x_img = x_img.reshape(-1, pixels)
+        for i in range(lo, hi):
+            a_img = a[i].reshape(-1, pixels)
+            x_img = x[images[i]].reshape(-1, pixels)
             for start in range(0, pixels, _PIXEL_BLOCK):
                 stop = start + _PIXEL_BLOCK
                 out.append(a_img[:, start:stop] @ x_img[:, start:stop].T)
         return out
 
     out = np.zeros((a.shape[1], x.shape[1]))
-    for block in _each_image_block(products, a.shape[0], _image_values(a, x)):
+    for block in _each_image_block(products, len(a), _image_values(a, x)):
         for product in block:
             out += product
     return out
@@ -277,7 +282,6 @@ def backward(
     of ``FilterBankParams.table``.
     """
     upstream = np.asarray(upstream_grad, dtype=float)
-    params = cached.params
     num_filters, num_channels = cached.weights.shape
     expected = (cube.dims[0], num_filters, cube.dims[2], cube.dims[3])
     if upstream.shape != expected:
@@ -289,14 +293,19 @@ def backward(
             f"cached response has {num_channels} channels but cube has {cube.dims[1]}"
         )
 
-    grad_q = _reduce_pixels(upstream, cube.data)
+    return _chain(cached, _reduce_pixels(upstream, cube.data))
+
+
+def _chain(cached: FilterResponseMatrix, grad_q: np.ndarray) -> np.ndarray:
+    """``backward`` after dL/dQ: the chain from ``grad_q`` (F, C) to the (F, P, 4) parameters."""
+    params = cached.params
 
     # Quotient rule through Q = raw / (row_max + eps) with the subgradient max.
     denom = cached.row_max + EPSILON
     raw = cached.per_peak_responses.sum(axis=1)  # (F, C)
     d_raw = grad_q / denom[:, None]
     through_max = np.sum(grad_q * raw, axis=1) / np.square(denom)
-    d_raw[np.arange(num_filters), cached.argmax_channel] -= through_max
+    d_raw[np.arange(len(d_raw)), cached.argmax_channel] -= through_max
 
     x, t, x_skew, envelope = _peak_geometry(params, cached.normalized_wavelengths)
     amplitude = params.amplitudes[:, :, None]

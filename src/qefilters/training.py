@@ -16,30 +16,30 @@ default.
 Head contractions over the feature axis are one BLAS GEMM per image
 (``projection._contract_channels``); head weight gradients, which sum over
 pixels, are one BLAS GEMM per fixed block of pixels, added in block order
-(``projection._reduce_pixels``). The per-image work of a step (the batch
-copy, the contractions, the softmax and the loss terms) runs on threads
-through ``projection._each_image_block`` when its work per image is large
-enough, and every sum across images is taken on the calling thread in image
-order. The evaluation at each epoch's end and in ``predict`` is one pass per
-block of images (``_predict``): the bank contraction, the head's private
-``_forward`` and the argmax, and at the epoch's end a ``np.bincount`` of
-truth·K + prediction on labels ``train`` has already checked; the calling
-thread adds the integer counts. None of this depends on the BLAS thread
-count or the worker count (see :mod:`qefilters.projection`), so identical
-configs and data reproduce runs bit-for-bit under any thread count.
+(``projection._reduce_pixels``). A batch is an index into the training
+cube, whose images the bank contraction and gradient read in place. The
+per-image work of a step (the contractions, the softmax and the loss terms)
+runs on threads through ``projection._each_image_block`` when its work per
+image is large enough, and every sum across images is taken on the calling
+thread in image order. The evaluation at each epoch's end and in
+``predict`` is one pass per block of images (``_predict``): the bank
+contraction, the head's private ``_forward`` and the argmax, and at the
+epoch's end a ``np.bincount`` of truth·K + prediction on labels ``train``
+has already checked; the calling thread adds the integer counts. None of
+this depends on the BLAS thread count or the worker count (see
+:mod:`qefilters.projection`), so identical configs and data reproduce runs
+bit-for-bit under any thread count.
 
 Validation and allocation happen at fixed places. A cube is checked once,
-when it is built or read. ``train`` allocates one data buffer and one label
-buffer for a batch; each step copies its images into them and wraps the
-filled part in ``Hypercube._checked``, which checks nothing again.
-``seg_loss`` checks its labels once and computes one softmax that both terms
-read: cross-entropy scatters at the label into a new gradient array, then
-Dice turns the softmax into its gradient in place, selecting each pixel's
-per-class gradient with a boolean one-hot, one image-sized array per block
-of images. The heads add biases and apply ``tanh`` in place. The bank and
-its regularizers are evaluated once at the start and once after every
-optimizer step; the next batch, the epoch-end evaluations and the epoch
-record all reuse that evaluation.
+when it is built or read, and ``train`` checks once, before the first step,
+that the bank fits the training cube. ``seg_loss`` checks its labels once
+and computes one softmax that both terms read: cross-entropy scatters at
+the label into a new gradient array, then Dice turns the softmax into its
+gradient in place, selecting each pixel's per-class gradient with a boolean
+one-hot, one image-sized array per block of images. The heads add biases
+and apply ``tanh`` in place. The bank and its regularizers are evaluated
+once at the start and once after every optimizer step; the next batch, the
+epoch-end evaluations and the epoch record all reuse that evaluation.
 """
 
 from __future__ import annotations
@@ -61,13 +61,12 @@ from .filterbank import (
 from .metrics import IGNORE_LABEL, ConfusionMatrix, _check_integer_labels, compute_metrics
 from .projection import (
     Hypercube,
+    _chain,
     _check_response,
     _contract_channels,
     _each_image_block,
     _image_values,
     _reduce_pixels,
-    apply_filter_bank,
-    backward,
 )
 from .regularization import RegConfig, total_reg
 from .rng import make_generator
@@ -517,20 +516,21 @@ def _bank_state(bank, lam_norm, reg):
     return response, reg_losses, reg.lambda_reg * reg_grad
 
 
-def _batch_gradients(head, response, reg_grad, cube, labels, weights, epoch):
-    """Segmentation loss of one batch and its gradients in parameter order.
+def _batch_gradients(head, response, reg_grad, data, idx, labels, weights, epoch):
+    """Segmentation loss of the batch ``data[idx]`` and its gradients in parameter order.
 
-    The gradients are those of ``[bank.table, *head.parameters().values()]``;
-    the bank's includes ``reg_grad``. The activations are locals here, so
-    they are freed on return, before the caller loads the next batch.
+    ``data`` is the array of a cube that ``response`` fits; its ``idx`` images
+    are read in place, and ``labels`` are theirs. The gradients are those of
+    ``[bank.table, *head.parameters().values()]``; the bank's includes
+    ``reg_grad``. The activations are locals here, freed before the next batch.
     """
-    feats = apply_filter_bank(cube, response)
+    feats = _contract_channels(response.weights, data, idx)
     logits, cache = head.forward(feats)
     seg, d_logits = seg_loss(logits, labels, weights)
     if not np.isfinite(seg):
         raise TrainingDivergedError(epoch)
     head_grads, d_feats = head.backward(cache, d_logits)
-    return seg, [backward(cube, response, d_feats) + reg_grad, *head_grads.values()]
+    return seg, [_chain(response, _reduce_pixels(d_feats, data, idx)) + reg_grad, *head_grads.values()]
 
 
 def train(
@@ -586,10 +586,6 @@ def train(
     optimizer = AdamW(params, config.learning_rate, decay)
 
     num_images = train_cube.dims[0]
-    batch = min(config.batch_size, num_images)
-    data_buffer = np.empty((batch,) + train_cube.dims[1:])
-    label_buffer = np.empty((batch,) + train_labels.shape[1:], dtype=train_labels.dtype)
-
     records: list[EpochRecord] = []
     centroid_history = []
     best_epoch = 0
@@ -599,24 +595,14 @@ def train(
     since_improvement = 0
     stopped_early = False
     response, reg_losses, reg_grad = _bank_state(bank, lam_norm, config.reg)
+    _check_response(response, train_cube)  # every step's response has the same shape
 
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(num_images)
         epoch_seg = []
-        for start in range(0, num_images, batch):
-            idx = order[start : start + batch]
-            batch_data, batch_labels = data_buffer[: len(idx)], label_buffer[: len(idx)]
-
-            # mode="clip" lets np.take write straight into ``out``, where the
-            # default mode="raise" goes through a temporary copy; ``idx``
-            # indexes the split's own images.
-            def load(lo, hi):
-                np.take(train_cube.data, idx[lo:hi], axis=0, out=batch_data[lo:hi], mode="clip")
-                np.take(train_labels, idx[lo:hi], axis=0, out=batch_labels[lo:hi], mode="clip")
-
-            _each_image_block(load, len(idx), _image_values(batch_data, batch_labels))
-            batch_cube = Hypercube._checked(batch_data, wl)
-            seg, grads = _batch_gradients(head, response, reg_grad, batch_cube, batch_labels, weights, epoch)
+        for start in range(0, num_images, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            seg, grads = _batch_gradients(head, response, reg_grad, train_cube.data, idx, train_labels[idx], weights, epoch)
             epoch_seg.append(seg)
             optimizer.step(grads)
             if any(not np.all(np.isfinite(p)) for p in params):

@@ -60,9 +60,9 @@ class TestHypercube:
 
 class TestContractChannels:
     @staticmethod
-    def check(matrix, x):
-        expected = np.einsum("fc,bchw->bfhw", matrix, x)
-        np.testing.assert_allclose(_contract_channels(matrix, x), expected, rtol=1e-12, atol=0)
+    def check(matrix, x, images=None):
+        expected = np.einsum("fc,bchw->bfhw", matrix, x if images is None else x[images])
+        np.testing.assert_allclose(_contract_channels(matrix, x, images), expected, rtol=1e-12, atol=0)
 
     def test_non_contiguous_cube_views(self):
         rng = np.random.default_rng(0)
@@ -70,6 +70,8 @@ class TestContractChannels:
         self.check(rng.random((3, 6)), data[:, ::2])
         self.check(rng.random((3, 12)), data[[4, 1]])
         self.check(rng.random((2, 12)), data[1:4, :, 2:, ::3])
+        self.check(rng.random((3, 12)), data, np.array([4, 1, 3]))
+        self.check(rng.random((3, 6)), data[:, ::2], [2])
 
     def test_transposed_weight(self):
         rng = np.random.default_rng(1)
@@ -86,10 +88,10 @@ class TestContractChannels:
 
 class TestReducePixels:
     @staticmethod
-    def check(a, x):
+    def check(a, x, images=None):
         # Non-negative inputs, so no sum cancels and rtol bounds every entry.
-        expected = np.einsum("bfhw,bchw->fc", a, x)
-        np.testing.assert_allclose(_reduce_pixels(a, x), expected, rtol=1e-12, atol=0)
+        expected = np.einsum("bfhw,bchw->fc", a, x if images is None else x[images])
+        np.testing.assert_allclose(_reduce_pixels(a, x, images), expected, rtol=1e-12, atol=0)
 
     def test_views_and_fancy_indexed_batches(self):
         rng = np.random.default_rng(3)
@@ -97,6 +99,8 @@ class TestReducePixels:
         self.check(rng.random((3, 2, 70, 90)), data[1:4, ::3])
         self.check(data[[4, 1], :5], data[[0, 2], 5:])
         self.check(rng.random((2, 3, 35, 30)), data[:2, :, ::2, 30:60])
+        self.check(rng.random((3, 2, 70, 90)), data, np.array([4, 1, 3]))
+        self.check(rng.random((1, 3, 70, 90)), data[:, ::3], [2])
 
     def test_remainder_block_single_image_and_single_pixel(self):
         rng = np.random.default_rng(4)
@@ -234,25 +238,34 @@ class TestEachImageBlock:
         assert projection._usable_cpus() == 1
 
     # 5 images of 70 x 70 pixels: one full pixel block and a remainder each,
-    # split 3 + 2 over two workers and 1 + 2 + 2 over three.
+    # split 3 + 2 over two workers and 1 + 2 + 2 over three. The indexed
+    # calls read 3 of them in place, split 1 + 2 over two workers, and give
+    # the bytes of the same call on the gathered copy.
     def test_contractions_bytes_independent_of_workers(self, under_workers):
         rng = np.random.default_rng(12)
         x = rng.random((5, 25, 70, 70))
         a = rng.normal(size=(5, 3, 70, 70))
         matrix = rng.normal(size=(25, 3))
+        images = np.array([4, 0, 2])
 
         def run():
-            return b"".join(
-                [
-                    _contract_channels(matrix.T, x).tobytes(),
-                    _contract_channels(matrix[::2].T, x[:, ::2]).tobytes(),
-                    _reduce_pixels(a, x).tobytes(),
-                    _reduce_pixels(a[[4, 0, 2]], x[[1, 3, 0], 5:]).tobytes(),
-                ]
-            )
+            return [
+                _contract_channels(matrix.T, x).tobytes(),
+                _contract_channels(matrix[::2].T, x[:, ::2]).tobytes(),
+                _reduce_pixels(a, x).tobytes(),
+                _reduce_pixels(a[[4, 0, 2]], x[[1, 3, 0], 5:]).tobytes(),
+                _contract_channels(matrix.T, x, images).tobytes(),
+                _contract_channels(matrix.T, x[images]).tobytes(),
+                _reduce_pixels(a[:3], x, images).tobytes(),
+                _reduce_pixels(a[:3], x[images]).tobytes(),
+                _contract_channels(matrix[::2].T, x[:, ::2], [3]).tobytes(),
+                _contract_channels(matrix[::2].T, x[[3], ::2]).tobytes(),
+            ]
 
         results = under_workers(run)
         assert all(r == results[0] for r in results)
+        indexed, gathered = results[0][4::2], results[0][5::2]
+        assert indexed == gathered
 
 
 class TestApplyFilterBank:

@@ -348,7 +348,6 @@ class TestPoolRouting:
                 {
                     ("_contract_channels.<locals>.contract", 4096 * 136),
                     ("_reduce_pixels.<locals>.products", 4096 * 136),
-                    ("train.<locals>.load", 4096 * 129),
                     ("_predict.<locals>.block", 4096 * 128),
                 },
                 id="wide",
@@ -398,7 +397,6 @@ class TestPoolRouting:
             "weighted_cross_entropy.<locals>.gradient": loss,
             "soft_dice.<locals>.plane_sums": loss,
             "soft_dice.<locals>.gradient": loss,
-            "train.<locals>.load": {pixels * (c + 1)},
             "_predict.<locals>.block": {pixels * c},
         }
 
@@ -548,7 +546,7 @@ class TestEndToEndGradient:
         assert total_reg(bank, reg_cfg)[0].separation > 0.0
         # the bank gradient the training loop applies
         response, _, reg_grad = _bank_state(bank, lam, reg_cfg)
-        _, grads = _batch_gradients(head, response, reg_grad, cube, labels, weights, 1)
+        _, grads = _batch_gradients(head, response, reg_grad, cube.data, np.arange(2), labels, weights, 1)
         full_grad = grads[0]
 
         step = 1e-5
@@ -589,24 +587,17 @@ class TestEndToEndGradient:
         initial = current_loss(bank)
         for _ in range(50):
             response, _, reg_grad = _bank_state(bank, lam, cfg)
-            _, grads = _batch_gradients(head, response, reg_grad, cube, labels, weights, 1)
+            _, grads = _batch_gradients(head, response, reg_grad, cube.data, np.arange(len(labels)), labels, weights, 1)
             optimizer.step(grads)
         assert current_loss(bank) < initial
 
 
 class TestBatchLoading:
     def test_each_batch_holds_its_images_in_the_epoch_order(self, monkeypatch):
-        # 5 images in batches of 2: each epoch's last batch holds one image and
-        # is loaded into buffers that still hold the batch before it.
+        # 5 images in batches of 2: each epoch's last batch holds one image.
+        # The batch is an index into the training cube's own array.
         cube, labels = tiny_dataset(seed=13, images=5)
-        seen = []
-
-        def recorded(head, response, reg_grad, batch_cube, batch_labels, *rest):
-            seen.append((batch_cube.data.copy(), batch_labels.copy()))
-            return batch_gradients(head, response, reg_grad, batch_cube, batch_labels, *rest)
-
-        batch_gradients = training._batch_gradients
-        monkeypatch.setattr(training, "_batch_gradients", recorded)
+        calls = record_calls(monkeypatch, "_batch_gradients")
         config = TrainConfig(learning_rate=1e-2, max_epochs=2, patience=2, batch_size=2, seed=4)
         train((cube, labels), (cube, labels), 2, 1, config)
 
@@ -616,11 +607,24 @@ class TestBatchLoading:
             order = shuffle.permutation(5)
             expected += [order[start : start + 2] for start in range(0, 5, 2)]
         assert [len(idx) for idx in expected] == [2, 2, 1, 2, 2, 1]
-        assert len(seen) == len(expected)
-        for (data, values), idx in zip(seen, expected):
-            assert data.shape == cube.data[idx].shape
-            assert data.tobytes() == cube.data[idx].tobytes()
-            assert np.array_equal(values, labels[idx])
+        assert len(calls) == len(expected)
+        for (_, _, _, data, idx, batch_labels, *_), expected_idx in zip(calls, expected):
+            assert data is cube.data
+            assert np.array_equal(idx, expected_idx)
+            assert np.array_equal(batch_labels, labels[expected_idx])
+
+    def test_too_few_channels_rejected_before_any_block(self, monkeypatch):
+        # The bank is checked against the training cube once, before the
+        # first step touches an image.
+        cube = Hypercube(np.random.default_rng(3).random((2, 3, 4, 4)), np.array([480.0, 550.0, 620.0]))
+        labels = np.array([[[0, 1] * 2] * 4] * 2)
+        blocks = []
+        for module in (projection, training):
+            monkeypatch.setattr(module, "_each_image_block", lambda *args: blocks.append(args))
+        config = TrainConfig(max_epochs=1, patience=1)
+        with pytest.raises(ConfigurationError, match="fewer filters than channels"):
+            train((cube, labels), (cube, labels), 3, 1, config)
+        assert blocks == []
 
 
 class TestMlpHead:
