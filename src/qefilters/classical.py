@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .metrics import IGNORE_LABEL, _check_integer_labels
+from .metrics import _check_labels
 from .projection import Hypercube
 from .rng import make_generator
 
@@ -102,11 +102,8 @@ def stratified_sample(
         expected = (cube.dims[0],) + cube.dims[2:]
         if labels.shape != expected:
             raise DataError(f"labels have shape {labels.shape}, not the cube's (B, H, W) {expected}")
-        _check_integer_labels(labels)
-        lab = labels[labels != IGNORE_LABEL]
-        if lab.size and lab.min() < 0:
-            raise DataError(f"label {lab[lab < 0][0]} is negative and not IGNORE_LABEL")
-        labeled.append(lab)
+        target, mask = _check_labels(labels)
+        labeled.append(target[mask])
     if not any(lab.size for lab in labeled):
         raise DataError("no labeled pixels in any cube")
     num_classes = int(max(lab.max() for lab in labeled if lab.size)) + 1
@@ -118,7 +115,7 @@ def stratified_sample(
     gen = make_generator(seed)
 
     rows, row_labels = [], []
-    counts = np.array([np.bincount(lab.astype(np.int64), minlength=num_classes) for lab in labeled])
+    counts = np.array([np.bincount(lab, minlength=num_classes) for lab in labeled])
 
     for k in range(num_classes):
         available = counts[:, k]

@@ -19,9 +19,9 @@ Declared sizes must match the payload exactly; a parser never reads past a
 length check, so corrupt headers cannot trigger huge allocations. Every
 failure is one :class:`CubeFormatError` whose message names it and carries
 the byte offset where parsing stopped. The writer runs the reader's value
-checks, at the offsets the file would have had, so a cube is written only
-if its bytes would parse. Reflectance is stored as float32 and widened to
-float64 in memory.
+checks, at the offsets the file would have had, after its labels pass
+``metrics._check_labels``, so a cube is written only if its bytes would
+parse. Reflectance is stored as float32 and widened to float64 in memory.
 
 One parser reads a file or a buffer by position: :func:`read_cube` reads the
 open file with ``os.preadv`` and :func:`parse_cube` copies out of the bytes,
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .metrics import IGNORE_LABEL, _check_integer_labels
+from .metrics import IGNORE_LABEL, _check_labels
 from . import projection
 from .projection import Hypercube
 
@@ -158,8 +158,8 @@ def _check_class_count(num_classes: int, offset: int) -> None:
         raise CubeFormatError("label block declares zero classes", offset)
 
 
-def _check_labels(values: np.ndarray, num_classes: int, ignore_value: int, offset: int) -> None:
-    """``values`` are whole numbers, none negative; a label's offset follows index order."""
+def _check_stored_labels(values: np.ndarray, num_classes: int, ignore_value: int, offset: int) -> None:
+    """``values`` pass ``metrics._check_labels``; a label's offset follows index order."""
     out_of_range = (values >= num_classes) & (values != ignore_value)
     if out_of_range.any():
         bad = int(np.flatnonzero(out_of_range)[0])
@@ -210,7 +210,7 @@ def _parse(source: int | memoryview, size: int) -> tuple[Hypercube, LabelMap | N
         _check_class_count(num_classes, k_off)
         (ignore_value,) = struct.unpack("<H", cur.take(2))
         values = cur.array(b * h * w, "<u2").astype(np.int64)
-        _check_labels(values, num_classes, ignore_value, k_off + 4)
+        _check_stored_labels(values, num_classes, ignore_value, k_off + 4)
         labels = LabelMap(values.reshape(b, h, w), num_classes, ignore_value)
 
     if cur.remaining:
@@ -231,9 +231,9 @@ def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
 def _encode(cube: Hypercube, labels: LabelMap | None) -> tuple[bytes, np.ndarray, bytes]:
     """The header, the float32 payload and the label block (empty without labels).
 
-    Rejects with :class:`DataError` the label values u16 cannot hold, and runs
-    the checks of :func:`parse_cube`, whose errors carry the offset the file
-    would have had.
+    Rejects with :class:`DataError` the label values ``metrics._check_labels``
+    rejects, which covers those u16 cannot hold, and runs the checks of
+    :func:`parse_cube`, whose errors carry the offset the file would have had.
     """
     b, c, h, w = cube.dims
     _check_dims(cube.dims, 6)
@@ -253,12 +253,10 @@ def _encode(cube: Hypercube, labels: LabelMap | None) -> tuple[bytes, np.ndarray
         for name, value in (("class count", num_classes), ("ignore value", ignore)):
             if not 0 <= value <= _U16_MAX:
                 raise DataError(f"{name} {value} outside [0, {_U16_MAX}]")
-        _check_integer_labels(values)
-        if values.min() < 0:
-            raise DataError(f"label {values[values < 0][0]} is negative")
+        _check_labels(values)
         k_off = data_off + 4 * data.size + 4
         _check_class_count(num_classes, k_off)
-        _check_labels(values, num_classes, ignore, k_off + 4)
+        _check_stored_labels(values, num_classes, ignore, k_off + 4)
         label_block = LABEL_MAGIC + struct.pack("<2H", num_classes, ignore) + values.astype("<u2").tobytes()
     return header, data, label_block
 

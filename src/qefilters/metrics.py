@@ -3,7 +3,8 @@
 Rows index ground truth, columns index predictions. Classes absent from the
 ground truth have undefined IoU/F1 and are excluded from the macro means.
 All metrics are reported on a 0-100 scale (kappa on -100..100), two decimals
-in formatted output.
+in formatted output. ``_check_labels`` holds the package's one rule for
+label values, and ``_count`` the one count of truth·K + prediction.
 """
 
 from __future__ import annotations
@@ -17,16 +18,47 @@ from .errors import DataError
 IGNORE_LABEL = 65535  # the library's one unlabeled value; the CLI maps each file's to it
 
 
-def _check_integer_labels(labels: np.ndarray, what: str = "label") -> None:
-    """Raise ``DataError`` naming the first ``what`` that is not a whole number.
+def _check_labels(labels, num_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The class index (``np.intp``, 0 where unlabelled) and the labelled mask of a label map.
 
-    Integer and boolean arrays can hold nothing else, so their values go unread.
+    The package's one rule for labels: each is an integer, not NaN or
+    infinite; ``IGNORE_LABEL`` marks an unlabelled pixel; any other lies in
+    [0, K), or in [0, IGNORE_LABEL) without K. It runs on the values as
+    given, before the cast, and its ``DataError`` names the first bad label.
+    An integer map costs one mask, one ``np.where`` and its min and max.
     """
-    if labels.dtype.kind in "biu":
+    labels = np.asarray(labels)
+    mask = labels != IGNORE_LABEL
+    target = np.where(mask, labels, 0)
+    limit = IGNORE_LABEL if num_classes is None else num_classes
+    if labels.dtype.kind not in "biu" or target.size and (target.min() < 0 or target.max() >= limit):
+        _reject_first(labels, mask, num_classes)
+    return target.astype(np.intp, copy=False), mask
+
+
+def _reject_first(values: np.ndarray, mask: np.ndarray, num_classes: int | None, what: str = "label") -> None:
+    """Raise ``DataError`` for the first of ``values`` not an integer, or out of range where ``mask`` holds."""
+    limit = IGNORE_LABEL if num_classes is None else num_classes
+    bad = mask & ~((values >= 0) & (values < limit))  # NaN compares false
+    if values.dtype.kind not in "biu":
+        bad |= (values != np.floor(values)) | np.isinf(values)
+    if not bad.any():
         return
-    bad = (labels != np.floor(labels)) | np.isinf(labels)  # NaN differs from itself
-    if bad.any():
-        raise DataError(f"{what} {labels[bad][0]} is not an integer")
+    value = values[bad][0]
+    if value != np.floor(value) or np.isinf(value):
+        raise DataError(f"{what} {value} is not an integer")
+    if num_classes is None and value < 0:
+        raise DataError(f"{what} {value} is negative")
+    raise DataError(f"{what} {value} outside [0, {limit})" + (" and not IGNORE_LABEL" if what == "label" else ""))
+
+
+def _count(labels: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
+    """K x K counts of truth·K + integer prediction where checked ``labels`` are labelled."""
+    codes = labels.astype(np.intp)
+    codes *= k
+    codes += pred
+    np.putmask(codes, labels == IGNORE_LABEL, k * k)  # one code past the counts, whatever ``pred`` holds there
+    return np.bincount(codes.ravel(), minlength=k * k + 1)[: k * k].reshape(k, k)
 
 
 class ConfusionMatrix:
@@ -39,26 +71,18 @@ class ConfusionMatrix:
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def accumulate(self, predictions, labels) -> "ConfusionMatrix":
-        """Add one count per labelled pixel. Order-independent."""
+        """Add one count per labelled pixel. Order-independent.
+
+        ``labels`` pass ``_check_labels``; predictions are integers, and in
+        [0, K) where the labels are labelled.
+        """
         pred = np.asarray(predictions)
         truth = np.asarray(labels)
         if pred.shape != truth.shape:
             raise DataError(f"prediction shape {pred.shape} does not match labels {truth.shape}")
-        _check_integer_labels(truth)
-        _check_integer_labels(pred, "prediction")
-        mask = truth != IGNORE_LABEL
-        pred = pred[mask].astype(np.int64)
-        truth = truth[mask].astype(np.int64)
-        if truth.size and (truth.min() < 0 or truth.max() >= self.num_classes):
-            bad = truth[(truth < 0) | (truth >= self.num_classes)][0]
-            raise DataError(f"label {bad} outside [0, {self.num_classes})")
-        if pred.size and (pred.min() < 0 or pred.max() >= self.num_classes):
-            bad = pred[(pred < 0) | (pred >= self.num_classes)][0]
-            raise DataError(f"prediction {bad} outside [0, {self.num_classes})")
-        flat = truth * self.num_classes + pred
-        self.counts += np.bincount(flat, minlength=self.num_classes**2).reshape(
-            self.num_classes, self.num_classes
-        )
+        mask = _check_labels(truth, self.num_classes)[1]
+        _reject_first(pred, mask, self.num_classes, "prediction")
+        self.counts += _count(truth, np.where(mask, pred, 0).astype(np.intp, copy=False), self.num_classes)
         return self
 
 

@@ -206,6 +206,12 @@ def _bump(doc, where: str) -> SpectralBump:
     return SpectralBump(*(config_value(doc, key, float, where) for key in _BUMP_KEYS))
 
 
+def _class_bumps(classes) -> tuple[tuple[SpectralBump, ...], ...]:
+    if not isinstance(classes, list) or not all(isinstance(bumps, list) for bumps in classes):
+        raise TypeError("expected a list of lists of bumps")
+    return tuple(tuple(_bump(b, "synthetic-data config 'classes'") for b in bumps) for bumps in classes)
+
+
 def spec_from_dict(doc: dict) -> SynthSpec:
     """Build a SynthSpec from the CLI's JSON configuration layout.
 
@@ -228,9 +234,8 @@ def spec_from_dict(doc: dict) -> SynthSpec:
             wl = np.linspace(*(config_value(wl_doc, key, kind, grid) for key, kind in _GRID_KEYS.items()))
         else:
             wl = np.asarray(config_value(doc, "wavelengths", _floats, where))
-        classes = tuple(tuple(_bump(b, f"{where} 'classes'") for b in bumps) for bumps in doc["classes"])
         return SynthSpec(
-            class_bumps=classes,
+            class_bumps=config_value(doc, "classes", _class_bumps, where),
             planted_centers_nm=config_value(doc, "planted_centers_nm", _floats, where, ()),
             wavelengths_nm=tuple(wl),
             noise_sigma=config_value(doc, "noise_sigma", float, where, 0.0),

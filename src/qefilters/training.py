@@ -24,22 +24,23 @@ image is large enough, and every sum across images is taken on the calling
 thread in image order. The evaluation at each epoch's end and in
 ``predict`` is one pass per block of images (``_predict``): the bank
 contraction, the head's private ``_forward`` and the argmax, and at the
-epoch's end a ``np.bincount`` of truth·K + prediction on labels ``train``
-has already checked; the calling thread adds the integer counts. None of
-this depends on the BLAS thread count or the worker count (see
-:mod:`qefilters.projection`), so identical configs and data reproduce runs
-bit-for-bit under any thread count.
+epoch's end the counts of ``metrics._count``, which the calling thread
+adds. None of this depends on the BLAS thread count or the worker count
+(see :mod:`qefilters.projection`), so identical configs and data reproduce
+runs bit-for-bit under any thread count.
 
 Validation and allocation happen at fixed places. A cube is checked once,
 when it is built or read, and ``train`` checks once, before the first step,
-that the bank fits the training cube. ``seg_loss`` checks its labels once
-and computes one softmax that both terms read: cross-entropy scatters at
-the label into a new gradient array, then Dice turns the softmax into its
-gradient in place, selecting each pixel's per-class gradient with a boolean
-one-hot, one image-sized array per block of images. The heads add biases
-and apply ``tanh`` in place. The bank and its regularizers are evaluated
-once at the start and once after every optimizer step; the next batch, the
-epoch-end evaluations and the epoch record all reuse that evaluation.
+that the bank fits the training cube. Labels pass ``metrics._check_labels``:
+``train`` checks both splits before it infers K, and ``seg_loss`` checks
+its labels once and computes one softmax that both terms read:
+cross-entropy scatters at the label into a new gradient array, then Dice
+turns the softmax into its gradient in place, selecting each pixel's
+per-class gradient with a boolean one-hot, one image-sized array per block
+of images. The heads add biases and apply ``tanh`` in place. The bank and
+its regularizers are evaluated once at the start and once after every
+optimizer step; the next batch, the epoch-end evaluations and the epoch
+record all reuse that evaluation.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .filterbank import (
     init_filter_bank,
     normalize_wavelengths,
 )
-from .metrics import IGNORE_LABEL, ConfusionMatrix, _check_integer_labels, compute_metrics
+from .metrics import IGNORE_LABEL, ConfusionMatrix, _check_labels, _count, compute_metrics
 from .projection import (
     Hypercube,
     _chain,
@@ -150,12 +151,18 @@ class MlpHead:
         return grads, d_feats
 
 
+# The head kinds ``TrainConfig.head`` may name, each with its constructor.
+_HEADS = {"linear": lambda k, f, rng, hidden: LinearHead(k, f, rng), "mlp": MlpHead}
+
+
+def _head_kind(kind: str):
+    if kind not in _HEADS:
+        raise ConfigurationError(f"head must be one of {', '.join(map(repr, _HEADS))}, got {kind!r}")
+    return _HEADS[kind]
+
+
 def make_head(kind: str, num_classes: int, num_features: int, rng, hidden: int = 8):
-    if kind == "linear":
-        return LinearHead(num_classes, num_features, rng)
-    if kind == "mlp":
-        return MlpHead(num_classes, num_features, rng, hidden=hidden)
-    raise ConfigurationError(f"unknown head kind {kind!r} (expected 'linear' or 'mlp')")
+    return _head_kind(kind)(num_classes, num_features, rng, hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +181,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
     _each_image_block(softmax, len(p), _image_values(p))
     return p
-
-
-def _check_labels(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Targets of a (B, H, W) label map, each shaped (B, 1, H, W).
-
-    Returns the class index of every pixel, 0 on unlabeled ones (those equal
-    to ``IGNORE_LABEL``), and the mask of labelled pixels. Class 0 is a real
-    class, so callers weight by the mask rather than trust the index.
-    Raises ``DataError`` for a label that is not an integer, and for any
-    other label outside [0, K).
-    """
-    labels = np.asarray(labels)
-    _check_integer_labels(labels)
-    mask = labels != IGNORE_LABEL
-    target = np.where(mask, labels, 0).astype(np.intp, copy=False)
-    if target.size and (target.min() < 0 or target.max() >= num_classes):
-        bad = labels[mask & ((labels < 0) | (labels >= num_classes))][0]
-        raise DataError(f"label {bad} outside [0, {num_classes}) and not IGNORE_LABEL")
-    return target[:, None], mask[:, None]
 
 
 def weighted_cross_entropy(
@@ -302,7 +290,7 @@ def seg_loss(logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray) 
     expected = (len(logits),) + logits.shape[2:]
     if np.shape(labels) != expected:
         raise DataError(f"labels have shape {np.shape(labels)}, not (B, H, W) {expected} of logits {logits.shape}")
-    target, mask = _check_labels(labels, num_classes)
+    target, mask = (a[:, None] for a in _check_labels(labels, num_classes))  # (B, 1, H, W)
     if not mask.any():
         raise DataError("all pixels are ignored; the loss is undefined")
     probs = _softmax(logits)
@@ -316,9 +304,8 @@ def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarra
     """Per-class weights proportional to inverse pixel frequency, mean 1.
 
     Counts are floored at one pixel so classes absent from the split stay
-    finite; they never contribute to the loss anyway. A label that is not
-    an integer, or lies outside [0, K) and is not ``IGNORE_LABEL``, is a
-    ``DataError``.
+    finite; they never contribute to the loss anyway. The labels pass
+    ``metrics._check_labels``.
     """
     target, mask = _check_labels(labels, num_classes)
     counts = np.maximum(np.bincount(target[mask], minlength=num_classes).astype(float), 1.0)
@@ -379,17 +366,16 @@ class TrainConfig:
     head_hidden: int = 8
 
     def __post_init__(self):
-        # Written so that NaN fails each check: every comparison with NaN is false.
+        _head_kind(self.head)
+        for name in ("max_epochs", "patience", "batch_size", "head_hidden"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.patience > self.max_epochs:
+            raise ConfigurationError("patience must lie in [1, max_epochs]")
+        # Written so that NaN fails it: every comparison with NaN is false.
         if not 0 < self.learning_rate < np.inf:
             raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.head_hidden < 1:
-            raise ConfigurationError(f"head_hidden must be >= 1, got {self.head_hidden}")
-        if self.max_epochs < 1:
-            raise ConfigurationError("max_epochs must be >= 1")
-        if not 1 <= self.patience <= self.max_epochs:
-            raise ConfigurationError("patience must lie in [1, max_epochs]")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
 
 
 # The epochs.csv header and the report.json record keys, in EpochRecord field order.
@@ -486,22 +472,13 @@ def _predict(response, head, cube: Hypercube, fn) -> list:
 
 
 def _miou(response, head, cube, labels, num_classes) -> float:
-    """mIoU of the head on ``cube``, each block counting truth·K + pred with ``np.bincount``.
-
-    ``labels`` are checked by ``train``; unlabelled pixels are coded past K·K
-    and dropped. The calling thread adds the integer counts.
-    """
-    k = num_classes
+    """mIoU of the head on ``cube``, on labels ``train`` has checked, counted block by block by ``metrics._count``."""
 
     def count(lo, hi, pred):
-        codes = labels[lo:hi].astype(np.intp)
-        codes[codes == IGNORE_LABEL] = k
-        codes *= k
-        codes += pred
-        return np.bincount(codes.ravel(), minlength=k * k + k)[: k * k]
+        return _count(labels[lo:hi], pred, num_classes)
 
-    cm = ConfusionMatrix(k)
-    cm.counts += sum(_predict(response, head, cube, count)).reshape(k, k)
+    cm = ConfusionMatrix(num_classes)
+    cm.counts += sum(_predict(response, head, cube, count))
     return compute_metrics(cm).miou
 
 
@@ -546,8 +523,9 @@ def train(
     Evaluates validation mIoU every epoch, stops after ``patience`` epochs
     without strict improvement, and returns the best-epoch snapshot together
     with the full trajectory. The bank's wavelength range is the first/last
-    channel wavelength of the training cube. Pixels labelled
-    ``IGNORE_LABEL`` are unlabeled: they enter no loss and no metric.
+    channel wavelength of the training cube. Both splits' labels pass
+    ``metrics._check_labels`` before K is inferred, as one more than their
+    largest label; unlabelled pixels enter no loss and no metric.
     """
     train_cube, train_labels = train_data
     val_cube, val_labels = val_data
@@ -562,12 +540,9 @@ def train(
     if not np.any(train_labels != IGNORE_LABEL) or not np.any(val_labels != IGNORE_LABEL):
         raise ConfigurationError("a split has no labeled pixels")
 
-    if num_classes is None:
-        num_classes = int(
-            max(train_labels[train_labels != IGNORE_LABEL].max(), val_labels[val_labels != IGNORE_LABEL].max())
-        ) + 1
-    weights = inverse_frequency_weights(train_labels, num_classes)  # checks the training labels
-    _check_labels(val_labels, num_classes)
+    largest = max(int(_check_labels(labels, num_classes)[0].max()) for labels in (train_labels, val_labels))
+    num_classes = largest + 1 if num_classes is None else num_classes
+    weights = inverse_frequency_weights(train_labels, num_classes)
 
     wl = train_cube.wavelengths_nm
     wl_range = WavelengthRange(float(wl[0]), float(wl[-1]))

@@ -435,6 +435,16 @@ class TestExitCodes:
         bad.write_bytes(b"XYZW" + b"\x00" * 40)
         assert cli(["eval", "--pred", str(bad), "--truth", str(bad)]) == 2
 
+    def test_train_config_head_checked_before_the_data_is_read(self, tmp_path, capsys):
+        # The bad head used to surface only in train, after the missing file.
+        path = tmp_path / "train.json"
+        missing = str(tmp_path / "missing.hypc")
+        path.write_text(json.dumps(
+            {"train_data": missing, "val_data": missing, "num_filters": 1, "peaks_per_filter": 1, "head": "cnn"}))
+        assert cli(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "head" in err and "'cnn'" in err and "not found" not in err
+
     def test_gen_synth_config_value_of_wrong_type(self, tmp_path, capsys):
         doc = json.loads(synth_config(tmp_path).read_text())
         path = tmp_path / "bad.json"
@@ -459,6 +469,8 @@ class TestExitCodes:
             pytest.param({"planted_centers_nm": [510, True]}, "planted_centers_nm", id="planted_centers_nm-bool"),
             pytest.param({"wavelengths": [470, "480", 630]}, "wavelengths", id="wavelengths-list-string"),
             pytest.param({"wavelengths": [True, 480, 630]}, "wavelengths", id="wavelengths-list-bool"),
+            pytest.param({"classes": 5}, "classes", id="classes-int"),
+            pytest.param({"classes": [5, []]}, "classes", id="classes-entry-int"),
         ],
     )
     def test_gen_synth_spec_value_of_wrong_type(self, tmp_path, capsys, setting, key):

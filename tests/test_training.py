@@ -60,7 +60,7 @@ HYKO = WavelengthRange(470.0, 630.0)
 
 def loss_terms(logits, labels, weights):
     """Both loss terms and their gradients on one softmax, as ``seg_loss`` calls them."""
-    target, mask = training._check_labels(labels, logits.shape[1])
+    target, mask = (a[:, None] for a in training._check_labels(labels, logits.shape[1]))
     probs = training._softmax(logits)
     ce, ce_grad = weighted_cross_entropy(probs, target, mask, weights)
     dice, dice_grad = soft_dice(probs, target, mask)
@@ -200,7 +200,7 @@ class TestSegLoss:
     )
     def test_terms_equal_dense_one_hot_oracle(self, name):
         logits, labels, weights = self._dense_case(name)
-        target, mask = training._check_labels(labels, logits.shape[1])
+        target, mask = (a[:, None] for a in training._check_labels(labels, logits.shape[1]))
         probs = training._softmax(logits)
         before = probs.copy()
         ce, ce_grad = weighted_cross_entropy(probs, target, mask, weights)
@@ -819,6 +819,13 @@ class TestTrainLoop:
             pytest.param(lambda: TrainConfig(learning_rate=float("nan")), "learning_rate", id="lr-nan"),
             pytest.param(lambda: TrainConfig(learning_rate=float("inf")), "learning_rate", id="lr-inf"),
             pytest.param(lambda: TrainConfig(head_hidden=0), "head_hidden", id="hidden-0"),
+            # Accepted before, these failed only inside train: the head after
+            # the bank was built, a count with a bare TypeError or as 2.5 epochs.
+            pytest.param(lambda: TrainConfig(head="cnn"), "head", id="head-cnn"),
+            pytest.param(lambda: TrainConfig(max_epochs=2.5), "max_epochs", id="max_epochs-float"),
+            pytest.param(lambda: TrainConfig(patience=2.0), "patience", id="patience-float"),
+            pytest.param(lambda: TrainConfig(batch_size=True), "batch_size", id="batch_size-bool"),
+            pytest.param(lambda: TrainConfig(head_hidden="8"), "head_hidden", id="hidden-string"),
             pytest.param(lambda: RegConfig(lambda_reg=float("nan")), "lambda_reg", id="lambda-nan"),
             pytest.param(lambda: RegConfig(lambda_reg=float("inf")), "lambda_reg", id="lambda-inf"),
         ],
