@@ -266,7 +266,8 @@ def backward(
     """Backpropagate a loss gradient on the reduced cube to the bank parameters.
 
     ``cached`` must come from :func:`evaluate_filter_bank` on the same
-    wavelength grid the cube was projected with. The chain runs::
+    wavelength grid the cube was projected with, and pass the checks of
+    :func:`apply_filter_bank`. The chain runs::
 
         dL/dQ[f,c]   = sum_{b,h,w} upstream[b,f,h,w] * X[b,c,h,w], one GEMM
                       per fixed block of pixels, added in block order
@@ -281,16 +282,12 @@ def backward(
     Returns the parameter gradients as an (F, P, 4) array in the slot order
     of ``FilterBankParams.table``.
     """
+    _check_response(cached, cube)
     upstream = np.asarray(upstream_grad, dtype=float)
-    num_filters, num_channels = cached.weights.shape
-    expected = (cube.dims[0], num_filters, cube.dims[2], cube.dims[3])
+    expected = (cube.dims[0], cached.weights.shape[0], cube.dims[2], cube.dims[3])
     if upstream.shape != expected:
         raise DataError(
             f"upstream gradient shape {upstream.shape} does not match expected {expected}"
-        )
-    if num_channels != cube.dims[1]:
-        raise DataError(
-            f"cached response has {num_channels} channels but cube has {cube.dims[1]}"
         )
 
     return _chain(cached, _reduce_pixels(upstream, cube.data))

@@ -1,8 +1,9 @@
 """End-to-end training of the filter bank against a per-pixel objective.
 
-The gradient consumer is deliberately tiny: a per-pixel linear softmax head
-(optionally with one tanh hidden layer) standing in for a full segmentation
-network. It preserves the exact gradient path from the objective through the
+The gradient consumer is deliberately tiny: a per-pixel head standing in for
+a full segmentation network, ``LinearHead`` (the package's one dense layer)
+or ``MlpHead`` (two of them with a tanh between), whose start ``make_head``
+draws. It preserves the exact gradient path from the objective through the
 spectral integration back to all bank parameters while keeping the package
 dependency-free.
 
@@ -78,24 +79,23 @@ from .rng import make_generator
 # ---------------------------------------------------------------------------
 
 class LinearHead:
-    """Per-pixel K-way linear classifier on the reduced channels."""
+    """The one per-pixel dense layer, weight (K, F) @ feats + bias; as a head, the K-way linear classifier."""
 
     kind = "linear"
 
-    def __init__(self, num_classes: int, num_features: int, rng: np.random.Generator):
-        self.weight = rng.normal(0.0, 0.1, (num_classes, num_features))
-        self.bias = np.zeros(num_classes)
+    def __init__(self, weight: np.ndarray):
+        self.weight = weight
+        self.bias = np.zeros(len(weight))
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
-
-    def forward(self, feats: np.ndarray):
-        return self._forward(feats)
 
     def _forward(self, feats: np.ndarray):
         logits = _contract_channels(self.weight, feats)
         logits += self.bias[None, :, None, None]
         return logits, feats
+
+    forward = _forward
 
     def backward(self, cache, d_logits: np.ndarray):
         feats = cache
@@ -108,51 +108,42 @@ class LinearHead:
 
 
 class MlpHead:
-    """Linear head with one tanh hidden layer (default width 8)."""
+    """Two ``LinearHead`` layers with a tanh between: w1 (hidden, F), then w2 (K, hidden)."""
 
     kind = "mlp"
 
-    def __init__(
-        self, num_classes: int, num_features: int, rng: np.random.Generator, hidden: int = 8
-    ):
-        scale = 1.0 / np.sqrt(max(num_features, 1))
-        self.w1 = rng.normal(0.0, scale, (hidden, num_features))
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.normal(0.0, 0.3, (num_classes, hidden))
-        self.b2 = np.zeros(num_classes)
+    def __init__(self, w1: np.ndarray, w2: np.ndarray):
+        self.layer1, self.layer2 = LinearHead(w1), LinearHead(w2)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def forward(self, feats: np.ndarray):
-        return self._forward(feats)
+        return {"w1": self.layer1.weight, "b1": self.layer1.bias, "w2": self.layer2.weight, "b2": self.layer2.bias}
 
     def _forward(self, feats: np.ndarray):
-        hidden = _contract_channels(self.w1, feats)
-        hidden += self.b1[None, :, None, None]
+        hidden, _ = self.layer1._forward(feats)
         np.tanh(hidden, out=hidden)
-        logits = _contract_channels(self.w2, hidden)
-        logits += self.b2[None, :, None, None]
+        logits, _ = self.layer2._forward(hidden)
         return logits, (feats, hidden)
+
+    forward = _forward
 
     def backward(self, cache, d_logits: np.ndarray):
         feats, hidden = cache
+        second, d_hidden = self.layer2.backward(hidden, d_logits)
         d_tanh = np.square(hidden)
         np.subtract(1.0, d_tanh, out=d_tanh)
-        d_hidden = _contract_channels(self.w2.T, d_logits)
         d_hidden *= d_tanh
-        grads = {
-            "w1": _reduce_pixels(d_hidden, feats),
-            "b1": np.sum(d_hidden, axis=(0, 2, 3)),
-            "w2": _reduce_pixels(d_logits, hidden),
-            "b2": np.sum(d_logits, axis=(0, 2, 3)),
-        }
-        d_feats = _contract_channels(self.w1.T, d_hidden)
+        first, d_feats = self.layer1.backward(feats, d_hidden)
+        grads = {"w1": first["weight"], "b1": first["bias"], "w2": second["weight"], "b2": second["bias"]}
         return grads, d_feats
 
 
-# The head kinds ``TrainConfig.head`` may name, each with its constructor.
-_HEADS = {"linear": lambda k, f, rng, hidden: LinearHead(k, f, rng), "mlp": MlpHead}
+# The head kinds ``TrainConfig.head`` may name, each drawing its start (see make_head).
+_HEADS = {
+    "linear": lambda k, f, rng, hidden: LinearHead(rng.normal(0.0, 0.1, (k, f))),
+    "mlp": lambda k, f, rng, hidden: MlpHead(
+        rng.normal(0.0, 1.0 / np.sqrt(max(f, 1)), (hidden, f)), rng.normal(0.0, 0.3, (k, hidden))
+    ),
+}
 
 
 def _head_kind(kind: str):
@@ -162,6 +153,12 @@ def _head_kind(kind: str):
 
 
 def make_head(kind: str, num_classes: int, num_features: int, rng, hidden: int = 8):
+    """A new head of ``kind`` for K = ``num_classes`` on F = ``num_features`` channels.
+
+    The one place a head's start is drawn from ``rng``: the linear weight
+    (K, F) from N(0, 0.1); the MLP's w1 (``hidden``, F) from N(0, 1/sqrt(F)),
+    then w2 (K, ``hidden``) from N(0, 0.3). Biases start at zero.
+    """
     return _head_kind(kind)(num_classes, num_features, rng, hidden)
 
 

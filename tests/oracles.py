@@ -6,6 +6,8 @@ one-hot forms of the two loss terms check the in-place ones in
 (B, K, H, W) one-hot and fresh arrays at every step, so the two must agree
 byte for byte. The blocked pixel reduction checks the head weight
 gradients, which ``qefilters.training`` sums in the same fixed blocks. The
+two-layer MLP, written out with both layers' math, checks the MLP head that
+``qefilters.training`` composes from two linear layers byte for byte. The
 functional Adam step checks the in-place ``AdamW``, which must reproduce it
 byte for byte. The serial synthetic generator, one image at a time with a
 dense (H, W, blobs) distance array and one full-image noise draw, checks the
@@ -24,7 +26,7 @@ import numpy as np
 from qefilters.errors import ConfigurationError, DataError
 from qefilters.filterbank import evaluate_filter_bank, sigmoid
 from qefilters.metrics import ConfusionMatrix, compute_metrics
-from qefilters.projection import apply_filter_bank
+from qefilters.projection import _contract_channels, apply_filter_bank
 from qefilters.rng import make_generator
 
 
@@ -146,6 +148,28 @@ def blocked_pixel_reduction(a, x):
         for start in range(0, pixels, PIXEL_BLOCK):
             out += a_img[:, start : start + PIXEL_BLOCK] @ x_img[:, start : start + PIXEL_BLOCK].T
     return out
+
+
+def two_layer_mlp(params, feats, d_logits):
+    """``(logits, grads, d_feats)`` of the MLP head with arrays ``params`` = (w1, b1, w2, b2).
+
+    Both layers and the tanh written out in fresh arrays:
+    hidden = tanh(w1 @ feats + b1) and logits = w2 @ hidden + b2, then back
+    through 1 - hidden**2. The contractions are the package's per-image
+    GEMMs and the weight gradients the blocked pixel reduction. ``grads``
+    are in (w1, b1, w2, b2) order.
+    """
+    w1, b1, w2, b2 = params
+    hidden = np.tanh(_contract_channels(w1, feats) + b1[None, :, None, None])
+    logits = _contract_channels(w2, hidden) + b2[None, :, None, None]
+    d_hidden = _contract_channels(w2.T, d_logits) * (1.0 - np.square(hidden))
+    grads = [
+        blocked_pixel_reduction(d_hidden, feats),
+        np.sum(d_hidden, axis=(0, 2, 3)),
+        blocked_pixel_reduction(d_logits, hidden),
+        np.sum(d_logits, axis=(0, 2, 3)),
+    ]
+    return logits, grads, _contract_channels(w1.T, d_hidden)
 
 
 def adam_step(

@@ -1,3 +1,6 @@
+import functools
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -22,9 +25,11 @@ from qefilters import (
     init_filter_bank,
     normalize_wavelengths,
 )
-from qefilters import projection
+from qefilters import cubeio, projection, synthetic, training
 from qefilters.filterbank import CENTROID
 from qefilters.projection import _POOL_WORK, _contract_channels, _each_image_block, _reduce_pixels
+
+from tasks import planted3_spec
 
 HYKO = WavelengthRange(470.0, 630.0)
 
@@ -206,6 +211,65 @@ class TestEachImageBlock:
             assert inner_results == [(0, 4, ident)]
         # Outside a block, the pool is used again.
         assert len(_each_image_block(inner, 4, _POOL_WORK)) == 2
+
+    # The modules whose public functions and methods a profiler such as
+    # bench/spans.py wraps: all but rng and errors.
+    _WRAPPED_LAYERS = (
+        "synthetic", "cubeio", "filterbank", "projection", "training", "regularization", "metrics", "classical", "cli",
+    )
+
+    def test_blocks_call_no_public_function(self, monkeypatch, tmp_path):
+        # A profiler that wraps the public names keeps one span stack per
+        # process, so a public call from inside a block would nest its span
+        # under whatever the calling thread has open. Each public function,
+        # constructor and public method records whether it ran inside a block;
+        # module names bound to a function by import are rebound too.
+        calls = []  # (name, ran inside a block)
+
+        def wrap(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((name, getattr(projection._local, "inside", False)))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        wrappers = {}  # id(original) -> (original, wrapper)
+        for layer in self._WRAPPED_LAYERS:
+            module = importlib.import_module(f"qefilters.{layer}")
+            for attr, obj in list(vars(module).items()):
+                if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    wrappers[id(obj)] = (obj, wrap(f"{layer}.{attr}", obj))
+                elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                    for method, raw in list(vars(obj).items()):
+                        name = f"{layer}.{attr}.{method}"
+                        if inspect.isfunction(raw) and (method == "__init__" or not method.startswith("_")):
+                            monkeypatch.setattr(obj, method, wrap(name, raw))
+                        elif isinstance(raw, (classmethod, staticmethod)) and not method.startswith("_"):
+                            monkeypatch.setattr(obj, method, type(raw)(wrap(name, raw.__func__)))
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "qefilters" or module_name.startswith("qefilters."):
+                for attr, obj in list(vars(module).items()):
+                    original, wrapper = wrappers.get(id(obj), (None, None))
+                    if original is obj:
+                        monkeypatch.setattr(module, attr, wrapper)
+
+        self.use_cpus(monkeypatch, 2)
+        cube, labels = synthetic.gen_synthetic(planted3_spec(0, 3))
+        cubeio.write_cube(cube, labels, tmp_path / "train.hypc")
+        cube, labels = cubeio.read_cube(tmp_path / "train.hypc")
+        for head in ("linear", "mlp"):
+            config = training.TrainConfig(learning_rate=2e-2, max_epochs=1, patience=1, batch_size=3, head=head)
+            report = training.train((cube, labels.values), (cube, labels.values), 2, 1, config)
+            training.predict(report, cube)
+
+        assert {name for name, _ in calls} >= {
+            "synthetic.gen_synthetic", "cubeio.write_cube", "cubeio.read_cube", "training.train",
+            "training.LinearHead.forward", "training.MlpHead.backward", "training.predict",
+        }
+        assert [name for name, inside in calls if inside] == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_makes_its_own_pool(self, monkeypatch):
@@ -390,6 +454,21 @@ class TestBackward:
         resp = evaluate_filter_bank(bank, lam)
         grads = backward(cube, resp, np.ones((1, 2, 2, 2)))
         assert np.all(np.isfinite(grads))
+
+    def test_channel_mismatch_raises(self):
+        cube = make_cube(4, 1, 4, 2, 2)
+        bank = init_filter_bank(2, 1, HYKO, seed=3)
+        resp = evaluate_filter_bank(bank, np.linspace(0, 1, 6))
+        with pytest.raises(DataError, match="response has 6 channels but cube has 4"):
+            backward(cube, resp, np.zeros((1, 2, 2, 2)))
+
+    def test_requires_reduction(self):
+        # The F = C bank apply_filter_bank refuses gets no gradient either.
+        cube = make_cube(5, 1, 3, 2, 2)
+        bank = init_filter_bank(3, 1, HYKO, seed=4)
+        resp = evaluate_filter_bank(bank, normalize_wavelengths(cube.wavelengths_nm, HYKO))
+        with pytest.raises(ConfigurationError, match="fewer filters than channels"):
+            backward(cube, resp, np.zeros((1, 3, 2, 2)))
 
     def test_shape_mismatch_raises(self):
         cube = make_cube(15, 1, 5, 2, 2)

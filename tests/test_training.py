@@ -52,6 +52,7 @@ from oracles import (
     blocked_pixel_reduction,
     dense_soft_dice,
     dense_weighted_cross_entropy,
+    two_layer_mlp,
 )
 from tasks import planted3_config, planted3_data, planted3_spec
 
@@ -422,7 +423,7 @@ class TestHeadWeightGradients:
         logits, (_, hidden) = head.forward(feats)
         d_logits = rng.normal(size=logits.shape)
         grads, _ = head.backward((feats, hidden), d_logits)
-        d_hidden = _contract_channels(head.w2.T, d_logits) * (1.0 - hidden**2)
+        d_hidden = _contract_channels(head.parameters()["w2"].T, d_logits) * (1.0 - hidden**2)
         assert grads["w1"].tobytes() == blocked_pixel_reduction(d_hidden, feats).tobytes()
         assert grads["w2"].tobytes() == blocked_pixel_reduction(d_logits, hidden).tobytes()
 
@@ -628,6 +629,27 @@ class TestBatchLoading:
 
 
 class TestMlpHead:
+    # 70 x 70 pixels leave a remainder pixel block; width 33 is the one
+    # test_report_independent_of_blas_threads trains.
+    @pytest.mark.parametrize("hidden", [8, 33])
+    def test_matches_the_two_layer_oracle(self, hidden):
+        rng = np.random.default_rng(12)
+        feats = rng.normal(size=(2, 3, 70, 70))
+        head = make_head("mlp", 5, 3, make_generator(2), hidden=hidden)
+        for array in head.parameters().values():
+            array[...] = rng.normal(size=array.shape)
+        logits, cache = head.forward(feats)
+        d_logits = rng.normal(size=logits.shape)
+        grads, d_feats = head.backward(cache, d_logits)
+        expected_logits, expected_grads, expected_d_feats = two_layer_mlp(
+            list(head.parameters().values()), feats, d_logits
+        )
+        assert logits.tobytes() == expected_logits.tobytes()
+        assert list(grads) == list(head.parameters()) == ["w1", "b1", "w2", "b2"]
+        for grad, expected in zip(grads.values(), expected_grads):
+            assert grad.tobytes() == expected.tobytes()
+        assert d_feats.tobytes() == expected_d_feats.tobytes()
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         head = make_head("mlp", 3, 2, make_generator(4), hidden=8)
@@ -636,8 +658,8 @@ class TestMlpHead:
         weights = np.ones(3)
 
         def set_arrays(params):
-            for name, value in params.items():
-                setattr(head, name, value)
+            for name, array in head.parameters().items():
+                array[...] = params[name]
 
         def loss_with(params):
             set_arrays(params)
@@ -911,7 +933,7 @@ class TestTrainLoop:
             head="mlp", head_hidden=16,
         )
         report = train((cube, labels), (val_cube, val_labels), 1, 1, config)
-        assert report.head.w1.shape == (16, 1)
+        assert report.head.parameters()["w1"].shape == (16, 1)
         cm = ConfusionMatrix(report.num_classes).accumulate(predict(report, val_cube), val_labels)
         assert compute_metrics(cm).miou == report.best_val_miou
 
