@@ -14,21 +14,22 @@ path, and each keeps results independent of the BLAS thread count:
   (:func:`_contract_channels`). BLAS splits the output pixels across threads,
   and each output is one whole dot product over channels computed by one
   thread, so the thread count does not change it;
-- a weighted reduction over the pixel axis (the bank gradient and the head
-  weight gradients) is one BLAS GEMM per fixed block of ``_PIXEL_BLOCK``
-  pixels, image by image, with the blocks' products added in block order
-  (:func:`_reduce_pixels`). The block size is fixed, so the summation order
-  depends on the array shapes alone. One GEMM over a whole image's pixels,
-  or over blocks four times longer, gave different bytes under one and two
-  BLAS threads; this block size gives the same bytes at every shape tested.
+- a weighted reduction over the pixel axis (the gradient of the bank, or of
+  the linear head's folded matrix W·Q, and the MLP's weight gradients) is one
+  BLAS GEMM per fixed block of ``_PIXEL_BLOCK`` pixels, image by image, with
+  the blocks' products added in block order (:func:`_reduce_pixels`). The
+  block size is fixed, so the summation order depends on the array shapes
+  alone. One GEMM over a whole image's pixels, or over blocks four times
+  longer, gave different bytes under one and two BLAS threads; this block
+  size gives the same bytes at every shape tested.
 
 Per-image work runs on threads through :func:`_each_image_block`, and every
 sum across images is taken on the calling thread in image order, so the
 bytes do not depend on the number of CPUs either. Each caller states its
 work, the values one image's pass reads and writes (:func:`_image_values`),
 and a batch goes to the pool only when that work reaches ``_POOL_WORK``:
-the cube-sized kernels at 64 x 64 pixels split, the head and loss kernels
-there run inline, and every kernel at 256 x 256 splits.
+the kernels that read the cube at 64 x 64 pixels split, the MLP's layers
+and the loss there run inline, and every kernel at 256 x 256 splits.
 
 ``tests/test_training.py::TestTrainLoop::test_report_independent_of_blas_threads``
 trains under one and two BLAS threads and compares the reports byte for byte,
@@ -40,10 +41,10 @@ A :class:`Hypercube` checks its data when it is built, and nothing here
 checks it again. :func:`apply_filter_bank` and :func:`backward` read a
 contiguous cube in place and return plain arrays: the (B, F, H, W) reduced
 cube and the (F, P, 4) parameter gradient. The large arrays they allocate
-are their results. ``train`` reads each batch's images in place through the
-two helpers' image index, and chains dL/dQ with :func:`_chain`, the second
-half of :func:`backward`. ``Hypercube._checked`` lets the file reader, which
-has already checked the stored values, skip the check.
+are their results. ``train`` does not call them: its heads read each batch
+in place through the two helpers' image index, and it chains their dL/dQ
+with :func:`_chain`, the second half of :func:`backward`. The file reader,
+which has checked the stored values, skips it through ``Hypercube._checked``.
 """
 
 from __future__ import annotations

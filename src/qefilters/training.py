@@ -14,21 +14,21 @@ updated in place, one step per batch; the bank table takes no decay (its
 derived quantities are bounded by construction), head arrays 1e-2, the AdamW
 default.
 
-Head contractions over the feature axis are one BLAS GEMM per image
-(``projection._contract_channels``); head weight gradients, which sum over
-pixels, are one BLAS GEMM per fixed block of pixels, added in block order
-(``projection._reduce_pixels``). A batch is an index into the training
-cube, whose images the bank contraction and gradient read in place. The
-per-image work of a step (the contractions, the softmax and the loss terms)
-runs on threads through ``projection._each_image_block`` when its work per
-image is large enough, and every sum across images is taken on the calling
-thread in image order. The evaluation at each epoch's end and in
-``predict`` is one pass per block of images (``_predict``): the bank
-contraction, the head's private ``_forward`` and the argmax, and at the
-epoch's end the counts of ``metrics._count``, which the calling thread
-adds. None of this depends on the BLAS thread count or the worker count
-(see :mod:`qefilters.projection`), so identical configs and data reproduce
-runs bit-for-bit under any thread count.
+A head takes the cube array, the bank matrix Q and a batch's image index,
+reads those images in place and returns dL/dQ. The linear head folds Q into
+its weight, one GEMM per image with the (K, C) matrix W·Q and one pixel
+reduction against the cube, so it makes no (B, F, H, W) features; the MLP
+head contracts with Q, then runs its layers. Contractions are one BLAS GEMM
+per image (``projection._contract_channels``) and pixel sums one per fixed
+pixel block, added in block order (``projection._reduce_pixels``). The
+per-image work of a step runs on threads through
+``projection._each_image_block`` when it is large enough, and every sum
+across images is taken on the calling thread in image order. The
+evaluation at each epoch's end and in ``predict`` is one pass per block of
+images (``_predict``): the head's private ``_forward``, the argmax and at
+the epoch's end the counts of ``metrics._count``, which the calling thread
+adds. None of this depends on the BLAS thread count or the worker count (see
+:mod:`qefilters.projection`), so runs reproduce bit-for-bit under any count.
 
 Validation and allocation happen at fixed places. A cube is checked once,
 when it is built or read, and ``train`` checks once, before the first step,
@@ -79,7 +79,7 @@ from .rng import make_generator
 # ---------------------------------------------------------------------------
 
 class LinearHead:
-    """The one per-pixel dense layer, weight (K, F) @ feats + bias; as a head, the K-way linear classifier."""
+    """The one per-pixel dense layer, (weight @ q) @ x[images] + bias; backward returns dL/dq, or dL/dx if q is None."""
 
     kind = "linear"
 
@@ -90,25 +90,25 @@ class LinearHead:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
 
-    def _forward(self, feats: np.ndarray):
-        logits = _contract_channels(self.weight, feats)
+    def _forward(self, x: np.ndarray, q: np.ndarray | None = None, images=None):
+        matrix = self.weight if q is None else self.weight @ q
+        logits = _contract_channels(matrix, x, images)
         logits += self.bias[None, :, None, None]
-        return logits, feats
+        return logits, (x, q, images)
 
     forward = _forward
 
     def backward(self, cache, d_logits: np.ndarray):
-        feats = cache
-        grads = {
-            "weight": _reduce_pixels(d_logits, feats),
-            "bias": np.sum(d_logits, axis=(0, 2, 3)),
-        }
-        d_feats = _contract_channels(self.weight.T, d_logits)
-        return grads, d_feats
+        x, q, images = cache
+        reduced = _reduce_pixels(d_logits, x, images)
+        bias = np.sum(d_logits, axis=(0, 2, 3))
+        if q is None:
+            return {"weight": reduced, "bias": bias}, _contract_channels(self.weight.T, d_logits)
+        return {"weight": reduced @ q.T, "bias": bias}, self.weight.T @ reduced
 
 
 class MlpHead:
-    """Two ``LinearHead`` layers with a tanh between: w1 (hidden, F), then w2 (K, hidden)."""
+    """Two ``LinearHead`` layers with a tanh between: w1 (hidden, F), then w2 (K, hidden), on the features q @ x."""
 
     kind = "mlp"
 
@@ -118,23 +118,23 @@ class MlpHead:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w1": self.layer1.weight, "b1": self.layer1.bias, "w2": self.layer2.weight, "b2": self.layer2.bias}
 
-    def _forward(self, feats: np.ndarray):
-        hidden, _ = self.layer1._forward(feats)
+    def _forward(self, x: np.ndarray, q: np.ndarray, images=None):
+        hidden, first = self.layer1._forward(_contract_channels(q, x, images))
         np.tanh(hidden, out=hidden)
-        logits, _ = self.layer2._forward(hidden)
-        return logits, (feats, hidden)
+        logits, second = self.layer2._forward(hidden)
+        return logits, (x, images, first, second)
 
     forward = _forward
 
     def backward(self, cache, d_logits: np.ndarray):
-        feats, hidden = cache
-        second, d_hidden = self.layer2.backward(hidden, d_logits)
-        d_tanh = np.square(hidden)
-        np.subtract(1.0, d_tanh, out=d_tanh)
-        d_hidden *= d_tanh
-        first, d_feats = self.layer1.backward(feats, d_hidden)
+        x, images, first_cache, second_cache = cache
+        second, d_hidden = self.layer2.backward(second_cache, d_logits)
+        d_tanh = np.square(second_cache[0])
+        d_hidden *= np.subtract(1.0, d_tanh, out=d_tanh)
+        first, d_feats = self.layer1.backward(first_cache, d_hidden)
+        del d_hidden, d_tanh  # before the bank reduction
         grads = {"w1": first["weight"], "b1": first["bias"], "w2": second["weight"], "b2": second["bias"]}
-        return grads, d_feats
+        return grads, _reduce_pixels(d_feats, x, images)
 
 
 # The head kinds ``TrainConfig.head`` may name, each drawing its start (see make_head).
@@ -454,15 +454,15 @@ def _argmax_classes(logits: np.ndarray) -> np.ndarray:
 def _predict(response, head, cube: Hypercube, fn) -> list:
     """``fn(lo, hi, pred)`` for each block of images, ``pred`` the head's classes on them.
 
-    Runs ``apply_filter_bank``'s checks first; then each block contracts its
-    images with the bank and runs the head's private forward and the argmax,
-    on the calling thread and the pool. Returns ``fn``'s results in block
-    order. Only one block's features and logits are alive per thread.
+    Runs ``apply_filter_bank``'s checks first; then each block runs the
+    head's private forward and the argmax on the calling thread and the
+    pool. Returns ``fn``'s results in block order. One block's logits (and
+    an MLP's features) are alive per thread.
     """
     _check_response(response, cube)
 
     def block(lo, hi):
-        logits = head._forward(_contract_channels(response.weights, cube.data[lo:hi]))[0]
+        logits = head._forward(cube.data[lo:hi], response.weights)[0]
         return fn(lo, hi, _argmax_classes(logits))
 
     return _each_image_block(block, cube.dims[0], _image_values(cube.data))
@@ -493,18 +493,17 @@ def _bank_state(bank, lam_norm, reg):
 def _batch_gradients(head, response, reg_grad, data, idx, labels, weights, epoch):
     """Segmentation loss of the batch ``data[idx]`` and its gradients in parameter order.
 
-    ``data`` is the array of a cube that ``response`` fits; its ``idx`` images
-    are read in place, and ``labels`` are theirs. The gradients are those of
-    ``[bank.table, *head.parameters().values()]``; the bank's includes
-    ``reg_grad``. The activations are locals here, freed before the next batch.
+    ``data`` is the array of a cube that ``response`` fits; the head reads its
+    ``idx`` images in place, and ``labels`` are theirs. The gradients are
+    those of ``[bank.table, *head.parameters().values()]``; the bank's is
+    ``_chain`` of the head's dL/dQ plus ``reg_grad``.
     """
-    feats = _contract_channels(response.weights, data, idx)
-    logits, cache = head.forward(feats)
+    logits, cache = head.forward(data, response.weights, idx)
     seg, d_logits = seg_loss(logits, labels, weights)
     if not np.isfinite(seg):
         raise TrainingDivergedError(epoch)
-    head_grads, d_feats = head.backward(cache, d_logits)
-    return seg, [_chain(response, _reduce_pixels(d_feats, data, idx)) + reg_grad, *head_grads.values()]
+    head_grads, grad_q = head.backward(cache, d_logits)
+    return seg, [_chain(response, grad_q) + reg_grad, *head_grads.values()]
 
 
 def train(

@@ -6,14 +6,17 @@ one-hot forms of the two loss terms check the in-place ones in
 (B, K, H, W) one-hot and fresh arrays at every step, so the two must agree
 byte for byte. The blocked pixel reduction checks the head weight
 gradients, which ``qefilters.training`` sums in the same fixed blocks. The
+two-step linear head, features Q·X and then the weight, checks the folded
+linear head, which contracts the cube with W·Q once, to rounding. The
 two-layer MLP, written out with both layers' math, checks the MLP head that
 ``qefilters.training`` composes from two linear layers byte for byte. The
 functional Adam step checks the in-place ``AdamW``, which must reproduce it
 byte for byte. The serial synthetic generator, one image at a time with a
 dense (H, W, blobs) distance array and one full-image noise draw, checks the
-threaded ``gen_synthetic`` byte for byte. The batched evaluation, whole-cube
-features, the public head forward, ``np.argmax`` and
-``ConfusionMatrix.accumulate``, checks the image-by-image evaluation pass of
+threaded ``gen_synthetic`` byte for byte. The batched evaluation, the
+public head forward on the whole cube (through W·Q for a linear head),
+``np.argmax`` and ``ConfusionMatrix.accumulate``, checks the
+image-by-image evaluation pass of
 ``train`` and ``predict`` byte for byte. The lobe certificate reads a
 bank's summed response curves on a fine grid, to check what the penalties,
 which read only the peak parameters, leave the curves looking like.
@@ -26,7 +29,7 @@ import numpy as np
 from qefilters.errors import ConfigurationError, DataError
 from qefilters.filterbank import evaluate_filter_bank, sigmoid
 from qefilters.metrics import ConfusionMatrix, compute_metrics
-from qefilters.projection import _contract_channels, apply_filter_bank
+from qefilters.projection import _contract_channels
 from qefilters.rng import make_generator
 
 
@@ -150,6 +153,19 @@ def blocked_pixel_reduction(a, x):
     return out
 
 
+def two_step_linear(weight, bias, q, x, d_logits):
+    """``(logits, grads, grad_q)`` of the linear head on the cube ``x`` through the features Q·X.
+
+    feats = Q @ x, logits = weight @ feats + bias, then the weight gradient
+    and dL/dfeats, and dL/dQ as the pixel reduction of dL/dfeats against x.
+    ``grads`` are in (weight, bias) order.
+    """
+    feats = _contract_channels(q, x)
+    logits = _contract_channels(weight, feats) + bias[None, :, None, None]
+    grads = [blocked_pixel_reduction(d_logits, feats), np.sum(d_logits, axis=(0, 2, 3))]
+    return logits, grads, blocked_pixel_reduction(_contract_channels(weight.T, d_logits), x)
+
+
 def two_layer_mlp(params, feats, d_logits):
     """``(logits, grads, d_feats)`` of the MLP head with arrays ``params`` = (w1, b1, w2, b2).
 
@@ -231,7 +247,7 @@ def serial_synthetic(spec):
 
 def batched_evaluation(response, head, cube, labels, num_classes):
     """``(pred, metrics)`` of a head on a whole cube, each step over the whole batch."""
-    pred = np.argmax(head.forward(apply_filter_bank(cube, response))[0], axis=1)
+    pred = np.argmax(head.forward(cube.data, response.weights)[0], axis=1)
     return pred, compute_metrics(ConfusionMatrix(num_classes).accumulate(pred, labels))
 
 

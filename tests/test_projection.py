@@ -114,16 +114,18 @@ class TestReducePixels:
         self.check(rng.random((1, 3, 1, 1)), rng.random((1, 5, 1, 1)))
         self.check(rng.random((4, 2, 1, 1)), rng.random((4, 6, 1, 1)))
 
-    # The shapes training reduces (hsidrive: F x C = 3 x 25 and K x F = 5 x 3
-    # at 256 x 256; wide: 8 x 128 and the MLP's 8 x 8 at 64 x 64, batches of
-    # 4) plus 3 images of 100 x 100 at 4 x 33 and 33 x 4, where one GEMM per
+    # The shapes training reduces (hsidrive: the linear head's folded K x C =
+    # 5 x 25 at 256 x 256, and F x C = 3 x 25 of an unfolded head; wide: 8 x
+    # 128 and the MLP's 8 x 8 at 64 x 64, batches of 4) plus 3 images of
+    # 100 x 100 at 4 x 33, 33 x 4 and the folded 5 x 33, where one GEMM per
     # image or 16,384-pixel blocks change bytes with the thread count.
     _THREAD_SCRIPT = (
         "import sys\n"
         "import numpy as np\n"
         "from qefilters.projection import _reduce_pixels\n"
-        "shapes = [(4, 3, 25, 256, 256), (4, 5, 3, 256, 256), (4, 8, 128, 64, 64),\n"
-        "          (4, 8, 8, 64, 64), (3, 4, 33, 100, 100), (3, 33, 4, 100, 100)]\n"
+        "shapes = [(4, 3, 25, 256, 256), (4, 5, 25, 256, 256), (4, 8, 128, 64, 64),\n"
+        "          (4, 8, 8, 64, 64), (3, 4, 33, 100, 100), (3, 33, 4, 100, 100),\n"
+        "          (3, 5, 33, 100, 100)]\n"
         "rng = np.random.default_rng(11)\n"
         "for b, f, c, h, w in shapes:\n"
         "    a = rng.normal(size=(b, f, h, w))\n"
@@ -142,7 +144,7 @@ class TestReducePixels:
                 env=env, capture_output=True, check=True, timeout=300,
             )
             outputs.append(done.stdout.decode().split())
-        assert len(outputs[0]) == 6
+        assert len(outputs[0]) == 7
         for shape_index, (one, two) in enumerate(zip(*outputs)):
             assert one == two, shape_index
 

@@ -53,6 +53,7 @@ from oracles import (
     dense_soft_dice,
     dense_weighted_cross_entropy,
     two_layer_mlp,
+    two_step_linear,
 )
 from tasks import planted3_config, planted3_data, planted3_spec
 
@@ -340,12 +341,13 @@ class TestPoolRouting:
     """
 
     @pytest.mark.parametrize(
-        "shape, filters, head_kind, head_sizes, pooled",
+        "shape, filters, head_kind, matrix_sizes, pooled",
         [
-            # head_sizes: rows + columns of each head matrix.
-            pytest.param((4, 25, 256, 256), 3, "linear", [5 + 3], None, id="hsidrive"),
+            # matrix_sizes: rows + columns of each matrix that contracts or
+            # reduces. The linear head folds the bank into one (K, C) matrix.
+            pytest.param((4, 25, 256, 256), 3, "linear", [5 + 25], None, id="hsidrive"),
             pytest.param(
-                (4, 128, 64, 64), 8, "mlp", [8 + 8, 5 + 8],
+                (4, 128, 64, 64), 8, "mlp", [8 + 128, 8 + 8, 5 + 8],
                 {
                     ("_contract_channels.<locals>.contract", 4096 * 136),
                     ("_reduce_pixels.<locals>.products", 4096 * 136),
@@ -355,7 +357,7 @@ class TestPoolRouting:
             ),
         ],
     )
-    def test_calls_reaching_the_pool(self, monkeypatch, shape, filters, head_kind, head_sizes, pooled):
+    def test_calls_reaching_the_pool(self, monkeypatch, shape, filters, head_kind, matrix_sizes, pooled):
         b, c, h, w = shape
         rng = np.random.default_rng(5)
         wl = np.linspace(600.0, 975.0, c)
@@ -388,7 +390,7 @@ class TestPoolRouting:
         for name, work, _ in top:
             passed.setdefault(name, set()).add(work)
         pixels = h * w
-        spectral = {pixels * (filters + c)} | {pixels * size for size in head_sizes}
+        spectral = {pixels * size for size in matrix_sizes}
         loss = {pixels * 5}
         assert passed == {
             "_contract_channels.<locals>.contract": spectral,
@@ -406,26 +408,47 @@ class TestHeadWeightGradients:
     # Plain einsum, one BLAS product over all pixels (np.tensordot) or one
     # per image sums the pixels in another order and changes the last bits
     # at this size, so these pin the fixed-block reduction of
-    # tests/oracles.py. 70 x 70 pixels leave a remainder block.
+    # tests/oracles.py. 70 x 70 pixels leave a remainder block; the index
+    # reads the cube's images out of order.
     def test_linear_weight_gradient_is_the_blocked_reduction(self):
         rng = np.random.default_rng(7)
-        feats = rng.normal(size=(2, 3, 70, 70))
+        x, q, idx = rng.random((2, 25, 70, 70)), rng.random((3, 25)), np.array([1, 0])
         head = make_head("linear", 5, 3, make_generator(1))
-        logits, cache = head.forward(feats)
+        logits, cache = head.forward(x, q, idx)
         d_logits = rng.normal(size=logits.shape)
-        grads, _ = head.backward(cache, d_logits)
-        assert grads["weight"].tobytes() == blocked_pixel_reduction(d_logits, feats).tobytes()
+        grads, grad_q = head.backward(cache, d_logits)
+        reduced = blocked_pixel_reduction(d_logits, x[idx])
+        assert grads["weight"].tobytes() == (reduced @ q.T).tobytes()
+        assert grad_q.tobytes() == (head.weight.T @ reduced).tobytes()
+
+    def test_linear_head_matches_the_two_step_oracle(self):
+        # The fold reassociates W·(Q·X) as (W·Q)·X, so it agrees to rounding.
+        rng = np.random.default_rng(17)
+        x, q, idx = rng.random((2, 25, 70, 70)), rng.random((3, 25)), np.array([1, 0])
+        head = make_head("linear", 5, 3, make_generator(1))
+        head.bias[...] = rng.normal(size=5)
+        logits, cache = head.forward(x, q, idx)
+        d_logits = rng.normal(size=logits.shape)
+        grads, grad_q = head.backward(cache, d_logits)
+        expected_logits, expected_grads, expected_grad_q = two_step_linear(head.weight, head.bias, q, x[idx], d_logits)
+        np.testing.assert_allclose(logits, expected_logits, rtol=1e-12)
+        np.testing.assert_allclose(grads["weight"], expected_grads[0], rtol=1e-12)
+        assert grads["bias"].tobytes() == expected_grads[1].tobytes()
+        np.testing.assert_allclose(grad_q, expected_grad_q, rtol=1e-12)
 
     def test_mlp_weight_gradients_are_the_blocked_reduction(self):
         rng = np.random.default_rng(8)
-        feats = rng.normal(size=(2, 3, 70, 70))
+        x, q, idx = rng.random((2, 25, 70, 70)), rng.random((3, 25)), np.array([1, 0])
         head = make_head("mlp", 5, 3, make_generator(2))
-        logits, (_, hidden) = head.forward(feats)
+        logits, cache = head.forward(x, q, idx)
+        (feats, _, _), (hidden, _, _) = cache[2:]
         d_logits = rng.normal(size=logits.shape)
-        grads, _ = head.backward((feats, hidden), d_logits)
+        grads, grad_q = head.backward(cache, d_logits)
         d_hidden = _contract_channels(head.parameters()["w2"].T, d_logits) * (1.0 - hidden**2)
         assert grads["w1"].tobytes() == blocked_pixel_reduction(d_hidden, feats).tobytes()
         assert grads["w2"].tobytes() == blocked_pixel_reduction(d_logits, hidden).tobytes()
+        d_feats = _contract_channels(head.parameters()["w1"].T, d_hidden)
+        assert grad_q.tobytes() == blocked_pixel_reduction(d_feats, x[idx]).tobytes()
 
 
 class TestAdam:
@@ -634,26 +657,26 @@ class TestMlpHead:
     @pytest.mark.parametrize("hidden", [8, 33])
     def test_matches_the_two_layer_oracle(self, hidden):
         rng = np.random.default_rng(12)
-        feats = rng.normal(size=(2, 3, 70, 70))
+        x, q, idx = rng.random((2, 25, 70, 70)), rng.random((3, 25)), np.array([1, 0])
         head = make_head("mlp", 5, 3, make_generator(2), hidden=hidden)
         for array in head.parameters().values():
             array[...] = rng.normal(size=array.shape)
-        logits, cache = head.forward(feats)
+        logits, cache = head.forward(x, q, idx)
         d_logits = rng.normal(size=logits.shape)
-        grads, d_feats = head.backward(cache, d_logits)
+        grads, grad_q = head.backward(cache, d_logits)
         expected_logits, expected_grads, expected_d_feats = two_layer_mlp(
-            list(head.parameters().values()), feats, d_logits
+            list(head.parameters().values()), _contract_channels(q, x[idx]), d_logits
         )
         assert logits.tobytes() == expected_logits.tobytes()
         assert list(grads) == list(head.parameters()) == ["w1", "b1", "w2", "b2"]
         for grad, expected in zip(grads.values(), expected_grads):
             assert grad.tobytes() == expected.tobytes()
-        assert d_feats.tobytes() == expected_d_feats.tobytes()
+        assert grad_q.tobytes() == blocked_pixel_reduction(expected_d_feats, x[idx]).tobytes()
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         head = make_head("mlp", 3, 2, make_generator(4), hidden=8)
-        feats = rng.normal(size=(1, 2, 3, 3))
+        x, q = rng.normal(size=(1, 4, 3, 3)), rng.normal(size=(2, 4))
         labels = rng.integers(0, 3, (1, 3, 3))
         weights = np.ones(3)
 
@@ -661,15 +684,15 @@ class TestMlpHead:
             for name, array in head.parameters().items():
                 array[...] = params[name]
 
-        def loss_with(params):
+        def loss_with(params, bank=q):
             set_arrays(params)
-            logits, _ = head.forward(feats)
+            logits, _ = head.forward(x, bank)
             return seg_loss(logits, labels, weights)[0]
 
         base = {k: p.copy() for k, p in head.parameters().items()}
-        logits, cache = head.forward(feats)
+        logits, cache = head.forward(x, q)
         _, d_logits = seg_loss(logits, labels, weights)
-        grads, d_feats = head.backward(cache, d_logits)
+        grads, grad_q = head.backward(cache, d_logits)
         step = 1e-6
         for name in base:
             flat = base[name].reshape(-1)
@@ -680,18 +703,13 @@ class TestMlpHead:
                 minus[name].reshape(-1)[i] -= step
                 fd = (loss_with(plus) - loss_with(minus)) / (2 * step)
                 assert grads[name].reshape(-1)[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
-        # feature gradient too
-        set_arrays(base)
-        idx = (0, 1, 2, 0)
-        plus = feats.copy()
-        plus[idx] += step
-        minus = feats.copy()
-        minus[idx] -= step
-        fd = (
-            seg_loss(head.forward(plus)[0], labels, weights)[0]
-            - seg_loss(head.forward(minus)[0], labels, weights)[0]
-        ) / (2 * step)
-        assert d_feats[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+        # the bank matrix's gradient too
+        for idx in ((0, 1), (1, 3)):
+            plus, minus = q.copy(), q.copy()
+            plus[idx] += step
+            minus[idx] -= step
+            fd = (loss_with(base, plus) - loss_with(base, minus)) / (2 * step)
+            assert grad_q[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 class TestTrainLoop:
