@@ -25,11 +25,14 @@ class DataError(QEFiltersError):
 
 
 class TrainingDivergedError(QEFiltersError):
-    """A non-finite loss appeared during training."""
+    """A non-finite value in training, at its epoch, step and first group: ``seg_loss``, ``bank`` or a head array."""
 
-    def __init__(self, epoch: int):
-        self.epoch = epoch
-        super().__init__(f"training diverged at epoch {epoch}")
+    def __init__(self, epoch: int, step: int, group: str):
+        self.epoch, self.step, self.group = epoch, step, group
+        super().__init__(f"training diverged at epoch {epoch}, step {step}: {group} is not finite")
+
+    def __reduce__(self):  # pickle rebuilds it from its fields, not from the message
+        return type(self), (self.epoch, self.step, self.group)
 
 
 _REQUIRED = object()

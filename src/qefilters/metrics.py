@@ -4,7 +4,7 @@ Rows index ground truth, columns index predictions. Classes absent from the
 ground truth have undefined IoU/F1 and are excluded from the macro means.
 All metrics are reported on a 0-100 scale (kappa on -100..100), two decimals
 in formatted output. ``_check_labels`` holds the package's one rule for
-label values, and ``_count`` the one count of truth·K + prediction.
+label values, and ``_count`` counts truth·K + prediction on its pair.
 """
 
 from __future__ import annotations
@@ -52,12 +52,11 @@ def _reject_first(values: np.ndarray, mask: np.ndarray, num_classes: int | None,
     raise DataError(f"{what} {value} outside [0, {limit})" + (" and not IGNORE_LABEL" if what == "label" else ""))
 
 
-def _count(labels: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
-    """K x K counts of truth·K + integer prediction where checked ``labels`` are labelled."""
-    codes = labels.astype(np.intp)
-    codes *= k
-    codes += pred
-    np.putmask(codes, labels == IGNORE_LABEL, k * k)  # one code past the counts, whatever ``pred`` holds there
+def _count(target: np.ndarray, mask: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
+    """K x K counts of truth·K + integer prediction on a ``_check_labels`` pair, read only where ``mask`` holds."""
+    codes = np.full(target.shape, k * k, dtype=np.intp)  # one code past the counts where unlabelled
+    np.multiply(target, k, out=codes, where=mask)
+    np.add(codes, pred, out=codes, where=mask, casting="unsafe")
     return np.bincount(codes.ravel(), minlength=k * k + 1)[: k * k].reshape(k, k)
 
 
@@ -73,16 +72,15 @@ class ConfusionMatrix:
     def accumulate(self, predictions, labels) -> "ConfusionMatrix":
         """Add one count per labelled pixel. Order-independent.
 
-        ``labels`` pass ``_check_labels``; predictions are integers, and in
-        [0, K) where the labels are labelled.
+        ``labels`` pass ``_check_labels``, whose pair ``_count`` reads;
+        predictions are integers, and in [0, K) where the labels are labelled.
         """
         pred = np.asarray(predictions)
-        truth = np.asarray(labels)
-        if pred.shape != truth.shape:
-            raise DataError(f"prediction shape {pred.shape} does not match labels {truth.shape}")
-        mask = _check_labels(truth, self.num_classes)[1]
+        if pred.shape != np.shape(labels):
+            raise DataError(f"prediction shape {pred.shape} does not match labels {np.shape(labels)}")
+        target, mask = _check_labels(labels, self.num_classes)
         _reject_first(pred, mask, self.num_classes, "prediction")
-        self.counts += _count(truth, np.where(mask, pred, 0).astype(np.intp, copy=False), self.num_classes)
+        self.counts += _count(target, mask, pred, self.num_classes)
         return self
 
 

@@ -32,16 +32,16 @@ adds. None of this depends on the BLAS thread count or the worker count (see
 
 Validation and allocation happen at fixed places. A cube is checked once,
 when it is built or read, and ``train`` checks once, before the first step,
-that the bank fits the training cube. Labels pass ``metrics._check_labels``:
-``train`` checks both splits before it infers K, and ``seg_loss`` checks
-its labels once and computes one softmax that both terms read:
-cross-entropy scatters at the label into a new gradient array, then Dice
-turns the softmax into its gradient in place, selecting each pixel's
-per-class gradient with a boolean one-hot, one image-sized array per block
-of images. The heads add biases and apply ``tanh`` in place. The bank and
-its regularizers are evaluated once at the start and once after every
-optimizer step; the next batch, the epoch-end evaluations and the epoch
-record all reuse that evaluation.
+that the bank fits the training cube and that each split's labels pass
+``metrics._check_labels``. Its class weights, losses (``_seg_loss``) and mIoU
+counts read the pair that returns; public ``seg_loss`` checks its own. The
+loss computes one softmax that both terms read: cross-entropy scatters at the
+label into a new gradient array, then Dice turns the softmax into its
+gradient in place, selecting each pixel's per-class gradient with a boolean
+one-hot, one image-sized array per block of images. The heads add biases and
+apply ``tanh`` in place. The bank and its regularizers are evaluated once at
+the start and once after every optimizer step; the next batch, the epoch-end
+evaluations and the epoch record all reuse that evaluation.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .filterbank import (
     init_filter_bank,
     normalize_wavelengths,
 )
-from .metrics import IGNORE_LABEL, ConfusionMatrix, _check_labels, _count, compute_metrics
+from .metrics import ConfusionMatrix, _check_labels, _count, compute_metrics
 from .projection import (
     Hypercube,
     _chain,
@@ -185,9 +185,9 @@ def weighted_cross_entropy(
 ) -> tuple[float, np.ndarray]:
     """Weighted mean negative log-softmax over labelled pixels, and its logit gradient.
 
-    Reads the softmax ``probs``; ``seg_loss`` checks the rest. Normalizes by
-    the summed weights of the contributing pixels, so uniform weights give
-    the plain per-pixel mean.
+    Reads the softmax ``probs``; the callers of ``_seg_loss`` check the rest.
+    Normalizes by the summed weights of the contributing pixels, so uniform
+    weights give the plain per-pixel mean.
     """
     pix_w, p_y, weighted_log_p = (np.empty(target.shape) for _ in range(3))
 
@@ -290,6 +290,11 @@ def seg_loss(logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray) 
     target, mask = (a[:, None] for a in _check_labels(labels, num_classes))  # (B, 1, H, W)
     if not mask.any():
         raise DataError("all pixels are ignored; the loss is undefined")
+    return _seg_loss(logits, target, mask, weights)
+
+
+def _seg_loss(logits, target, mask, weights) -> tuple[float, np.ndarray]:
+    """``seg_loss`` on a checked (B, 1, H, W) ``(target, mask)`` pair with a labelled pixel."""
     probs = _softmax(logits)
     ce, grad = weighted_cross_entropy(probs, target, mask, weights)
     dice, dice_grad = soft_dice(probs, target, mask)
@@ -298,15 +303,13 @@ def seg_loss(logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray) 
 
 
 def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Per-class weights proportional to inverse pixel frequency, mean 1.
+    """Per-class weights proportional to inverse pixel frequency, mean 1, of labels that pass ``_check_labels``."""
+    return _class_weights(*_check_labels(labels, num_classes), num_classes)
 
-    Counts are floored at one pixel so classes absent from the split stay
-    finite; they never contribute to the loss anyway. The labels pass
-    ``metrics._check_labels``.
-    """
-    target, mask = _check_labels(labels, num_classes)
-    counts = np.maximum(np.bincount(target[mask], minlength=num_classes).astype(float), 1.0)
-    weights = 1.0 / counts
+
+def _class_weights(target, mask, num_classes) -> np.ndarray:
+    """The weights of a checked pair; counts floor at one pixel, so a class absent from the split stays finite."""
+    weights = 1.0 / np.maximum(np.bincount(target[mask], minlength=num_classes), 1.0)
     return weights / weights.mean()
 
 
@@ -374,6 +377,10 @@ class TrainConfig:
         if not 0 < self.learning_rate < np.inf:
             raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
+
+# An inferred K above this comes from a stray label, not a class: the paper's
+# datasets have a few tens of classes, and K sizes K x K counts.
+_MAX_INFERRED_K = 256
 
 # The epochs.csv header and the report.json record keys, in EpochRecord field order.
 _EPOCH_COLUMNS = ("epoch", "seg_loss", "L_dom", "L_sep", "L_bw", "train_miou", "val_miou")
@@ -468,14 +475,11 @@ def _predict(response, head, cube: Hypercube, fn) -> list:
     return _each_image_block(block, cube.dims[0], _image_values(cube.data))
 
 
-def _miou(response, head, cube, labels, num_classes) -> float:
-    """mIoU of the head on ``cube``, on labels ``train`` has checked, counted block by block by ``metrics._count``."""
-
-    def count(lo, hi, pred):
-        return _count(labels[lo:hi], pred, num_classes)
-
+def _miou(response, head, cube, target, mask, num_classes) -> float:
+    """mIoU of the head on ``cube`` against a ``_check_labels`` pair, counted block by block by ``metrics._count``."""
+    counts = _predict(response, head, cube, lambda lo, hi, pred: _count(target[lo:hi], mask[lo:hi], pred, num_classes))
     cm = ConfusionMatrix(num_classes)
-    cm.counts += sum(_predict(response, head, cube, count))
+    cm.counts += sum(counts)
     return compute_metrics(cm).miou
 
 
@@ -490,18 +494,18 @@ def _bank_state(bank, lam_norm, reg):
     return response, reg_losses, reg.lambda_reg * reg_grad
 
 
-def _batch_gradients(head, response, reg_grad, data, idx, labels, weights, epoch):
+def _batch_gradients(head, response, reg_grad, data, idx, labels, weights, epoch, step):
     """Segmentation loss of the batch ``data[idx]`` and its gradients in parameter order.
 
     ``data`` is the array of a cube that ``response`` fits; the head reads its
-    ``idx`` images in place, and ``labels`` are theirs. The gradients are
-    those of ``[bank.table, *head.parameters().values()]``; the bank's is
-    ``_chain`` of the head's dL/dQ plus ``reg_grad``.
+    ``idx`` images in place, and ``labels`` is their ``_seg_loss`` pair. The
+    gradients are those of ``[bank.table, *head.parameters().values()]``;
+    the bank's is ``_chain`` of the head's dL/dQ plus ``reg_grad``.
     """
     logits, cache = head.forward(data, response.weights, idx)
-    seg, d_logits = seg_loss(logits, labels, weights)
+    seg, d_logits = _seg_loss(logits, *labels, weights)
     if not np.isfinite(seg):
-        raise TrainingDivergedError(epoch)
+        raise TrainingDivergedError(epoch, step, "seg_loss")
     head_grads, grad_q = head.backward(cache, d_logits)
     return seg, [_chain(response, grad_q) + reg_grad, *head_grads.values()]
 
@@ -519,26 +523,31 @@ def train(
     Evaluates validation mIoU every epoch, stops after ``patience`` epochs
     without strict improvement, and returns the best-epoch snapshot together
     with the full trajectory. The bank's wavelength range is the first/last
-    channel wavelength of the training cube. Both splits' labels pass
-    ``metrics._check_labels`` before K is inferred, as one more than their
-    largest label; unlabelled pixels enter no loss and no metric.
+    channel wavelength of the training cube. Each split's labels pass
+    ``metrics._check_labels`` once; the weights, losses and mIoU counts read
+    its pair. K is inferred as one more than the largest label, and at most
+    ``_MAX_INFERRED_K``; a given ``num_classes`` has no bound. Unlabelled
+    pixels enter no loss and no metric: a batch with none takes no step.
     """
     train_cube, train_labels = train_data
     val_cube, val_labels = val_data
-    train_labels = np.asarray(train_labels)
-    val_labels = np.asarray(val_labels)
     for split, cube, labels in (("train", train_cube, train_labels), ("val", val_cube, val_labels)):
         expected = (cube.dims[0],) + cube.dims[2:]
-        if labels.shape != expected:
-            raise DataError(f"{split} labels have shape {labels.shape}, not (B, H, W) {expected}")
+        if np.shape(labels) != expected:
+            raise DataError(f"{split} labels have shape {np.shape(labels)}, not (B, H, W) {expected}")
     if train_cube.dims[0] < 1 or val_cube.dims[0] < 1:
         raise ConfigurationError("need at least one training and one validation image")
-    if not np.any(train_labels != IGNORE_LABEL) or not np.any(val_labels != IGNORE_LABEL):
+    train_target, train_mask = _check_labels(train_labels, num_classes)
+    val_target, val_mask = _check_labels(val_labels, num_classes)
+    if not train_mask.any() or not val_mask.any():
         raise ConfigurationError("a split has no labeled pixels")
 
-    largest = max(int(_check_labels(labels, num_classes)[0].max()) for labels in (train_labels, val_labels))
-    num_classes = largest + 1 if num_classes is None else num_classes
-    weights = inverse_frequency_weights(train_labels, num_classes)
+    if num_classes is None:
+        num_classes = max(int(train_target.max()), int(val_target.max())) + 1
+        if num_classes > _MAX_INFERRED_K:
+            message = f"largest label {num_classes - 1} infers more than {_MAX_INFERRED_K} classes; pass num_classes"
+            raise ConfigurationError(message)
+    weights = _class_weights(train_target, train_mask, num_classes)
 
     wl = train_cube.wavelengths_nm
     wl_range = WavelengthRange(float(wl[0]), float(wl[-1]))
@@ -571,17 +580,21 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(num_images)
         epoch_seg = []
-        for start in range(0, num_images, config.batch_size):
+        for step, start in enumerate(range(0, num_images, config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
-            seg, grads = _batch_gradients(head, response, reg_grad, train_cube.data, idx, train_labels[idx], weights, epoch)
+            batch = train_target[idx, None], train_mask[idx, None]
+            if not batch[1].any():
+                continue  # no labelled pixel, so no loss to descend
+            seg, grads = _batch_gradients(head, response, reg_grad, train_cube.data, idx, batch, weights, epoch, step)
             epoch_seg.append(seg)
             optimizer.step(grads)
-            if any(not np.all(np.isfinite(p)) for p in params):
-                raise TrainingDivergedError(epoch)
+            for group, p in zip(("bank", *head.parameters()), params):
+                if not np.all(np.isfinite(p)):
+                    raise TrainingDivergedError(epoch, step, group)
             response, reg_losses, reg_grad = _bank_state(bank, lam_norm, config.reg)
 
-        train_miou = _miou(response, head, train_cube, train_labels, num_classes)
-        val_miou = _miou(response, head, val_cube, val_labels, num_classes)
+        train_miou = _miou(response, head, train_cube, train_target, train_mask, num_classes)
+        val_miou = _miou(response, head, val_cube, val_target, val_mask, num_classes)
         records.append(
             EpochRecord(
                 epoch=epoch,

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,7 +181,7 @@ class TestTrainCommand:
         assert json.loads(reports[0])["num_classes"] == 3
         assert reports[0] == reports[1]
 
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         config = synth_config(tmp_path)
         data_dir = tmp_path / "data"
         cli(["gen-synth", "--config", str(config), "--out", str(data_dir)])
@@ -196,6 +197,7 @@ class TestTrainCommand:
         train_path = tmp_path / "diverge.json"
         train_path.write_text(json.dumps(train_doc))
         assert cli(["train", "--config", str(train_path), "--out", str(tmp_path / "d")]) == 3
+        assert re.search(r"error: training diverged at epoch \d+, step \d+: \w+ is not finite", capsys.readouterr().err)
 
 
 class TestReduceCommand:

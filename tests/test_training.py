@@ -1,8 +1,10 @@
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -317,7 +319,7 @@ class TestEvaluationPass:
         expected = np.float64(metrics.miou).tobytes() + pred.tobytes()
 
         def run():
-            miou = training._miou(response, head, cube, labels, 4)
+            miou = training._miou(response, head, cube, *training._check_labels(labels, 4), 4)
             return np.float64(miou).tobytes() + predict(report_of(bank, head, 4), cube).tobytes()
 
         assert under_workers(run) == [expected] * 5
@@ -570,7 +572,8 @@ class TestEndToEndGradient:
         assert total_reg(bank, reg_cfg)[0].separation > 0.0
         # the bank gradient the training loop applies
         response, _, reg_grad = _bank_state(bank, lam, reg_cfg)
-        _, grads = _batch_gradients(head, response, reg_grad, cube.data, np.arange(2), labels, weights, 1)
+        pair = tuple(a[:, None] for a in training._check_labels(labels, 2))
+        _, grads = _batch_gradients(head, response, reg_grad, cube.data, np.arange(2), pair, weights, 1, 1)
         full_grad = grads[0]
 
         step = 1e-5
@@ -609,9 +612,10 @@ class TestEndToEndGradient:
             return seg + cfg.lambda_reg * reg.total
 
         initial = current_loss(bank)
+        pair = tuple(a[:, None] for a in training._check_labels(labels, 2))
         for _ in range(50):
             response, _, reg_grad = _bank_state(bank, lam, cfg)
-            _, grads = _batch_gradients(head, response, reg_grad, cube.data, np.arange(len(labels)), labels, weights, 1)
+            _, grads = _batch_gradients(head, response, reg_grad, cube.data, np.arange(len(labels)), pair, weights, 1, 1)
             optimizer.step(grads)
         assert current_loss(bank) < initial
 
@@ -619,7 +623,8 @@ class TestEndToEndGradient:
 class TestBatchLoading:
     def test_each_batch_holds_its_images_in_the_epoch_order(self, monkeypatch):
         # 5 images in batches of 2: each epoch's last batch holds one image.
-        # The batch is an index into the training cube's own array.
+        # The batch is an index into the training cube's own array, and its
+        # labels the slices of the split's checked (target, mask) pair.
         cube, labels = tiny_dataset(seed=13, images=5)
         calls = record_calls(monkeypatch, "_batch_gradients")
         config = TrainConfig(learning_rate=1e-2, max_epochs=2, patience=2, batch_size=2, seed=4)
@@ -632,10 +637,11 @@ class TestBatchLoading:
             expected += [order[start : start + 2] for start in range(0, 5, 2)]
         assert [len(idx) for idx in expected] == [2, 2, 1, 2, 2, 1]
         assert len(calls) == len(expected)
-        for (_, _, _, data, idx, batch_labels, *_), expected_idx in zip(calls, expected):
+        for (_, _, _, data, idx, (target, mask), *_), expected_idx in zip(calls, expected):
             assert data is cube.data
             assert np.array_equal(idx, expected_idx)
-            assert np.array_equal(batch_labels, labels[expected_idx])
+            assert target.dtype == np.intp and np.array_equal(target, labels[expected_idx, None])
+            assert mask.all() and mask.shape == target.shape
 
     def test_too_few_channels_rejected_before_any_block(self, monkeypatch):
         # The bank is checked against the training cube once, before the
@@ -761,12 +767,88 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError):
             train((cube, all_ignored), (cube, labels), 1, 1, TrainConfig())
 
+    def test_batch_without_a_labelled_pixel_takes_no_step(self, monkeypatch):
+        # Image 1 holds no labelled pixel, so in batches of one its batch has
+        # no loss. Before, it raised "all pixels are ignored" mid-epoch.
+        rng = np.random.default_rng(15)
+        cube = Hypercube(rng.random((3, 6, 8, 8)), np.linspace(470.0, 630.0, 6))
+        labels = rng.integers(0, 2, (3, 8, 8))
+        labels[1] = IGNORE_LABEL
+        steps = []
+        original = training._batch_gradients
+
+        def recorded(*args):
+            seg, grads = original(*args)
+            steps.append((args[4].tolist(), args[-1], seg))
+            return seg, grads
+
+        monkeypatch.setattr(training, "_batch_gradients", recorded)
+        config = TrainConfig(learning_rate=1e-2, max_epochs=3, patience=3, batch_size=1, seed=2)
+        report = train((cube, labels), (cube, labels), 2, 1, config)
+
+        shuffle = make_generator(config.seed, 2)
+        orders = [shuffle.permutation(3).tolist() for _ in range(config.max_epochs)]
+        expected = [([i], order.index(i) + 1) for order in orders for i in order if i != 1]
+        assert [(idx, step) for idx, step, _ in steps] == expected
+        for epoch, record in enumerate(report.records):
+            assert record.seg_loss == np.mean([seg for _, _, seg in steps[2 * epoch : 2 * epoch + 2]])
+
+    # Unbounded, one stray label of 65534 made K = 65,535 and a 34 GB
+    # confusion matrix. An inferred K stops at 256 before any K-sized array;
+    # a given K has no bound.
+    @pytest.mark.parametrize("largest, num_classes", [(255, None), (256, None), (65534, None), (299, 300)])
+    def test_inferred_class_count_is_bounded(self, largest, num_classes):
+        cube = Hypercube(np.random.default_rng(16).random((1, 3, 2, 2)), np.array([480.0, 550.0, 620.0]))
+        labels = np.array([[[0, 1], [1, largest]]])
+        config = TrainConfig(max_epochs=1, patience=1)
+
+        def run():
+            return train((cube, labels), (cube, labels), 1, 1, config, num_classes=num_classes)
+
+        if num_classes is not None or largest < 256:
+            assert run().num_classes == (num_classes or largest + 1)
+            return
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=f"largest label {largest} infers more than 256 classes; pass"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_divergence_raises_with_epoch(self):
         cube, labels = tiny_dataset(seed=9)
         config = TrainConfig(learning_rate=1e200, max_epochs=10, patience=5, batch_size=4, seed=0)
         with pytest.raises(TrainingDivergedError) as err:
             train((cube, labels), (cube, labels), 2, 1, config)
         assert err.value.epoch >= 1
+
+    @pytest.mark.parametrize("head", ["linear", "mlp"])
+    def test_divergence_names_the_epoch_step_and_group(self, head):
+        # Adam's first step moves every parameter by about lr = 1e200, which
+        # stays finite; after the second no group is finite, and the bank
+        # comes first in parameter order.
+        cube, labels = tiny_dataset(seed=9, images=8)
+        config = TrainConfig(learning_rate=1e200, max_epochs=10, patience=5, batch_size=4, seed=0, head=head)
+        with pytest.raises(TrainingDivergedError, match="at epoch 1, step 2: bank is not finite") as err:
+            train((cube, labels), (cube, labels), 2, 1, config)
+        assert (err.value.epoch, err.value.step, err.value.group) == (1, 2, "bank")
+        copy = pickle.loads(pickle.dumps(err.value))  # as a process pool returns it
+        assert (str(copy), copy.epoch, copy.step, copy.group) == (str(err.value), 1, 2, "bank")
+
+    @pytest.mark.parametrize("num_classes", [3, None])
+    def test_labels_checked_once_per_split(self, monkeypatch, num_classes):
+        # Before, the class weights and every step's loss checked them again:
+        # 23 checks in these 5 epochs of 4 steps.
+        label_checks = record_calls(monkeypatch, "_check_labels")
+        (tc, tl), (vc, vl) = planted3_data()
+        config = replace(planted3_config(seed=0), max_epochs=5, patience=5)
+        report = train((tc, tl.values), (vc, vl.values), 2, 1, config, num_classes=num_classes)
+        assert len(report.records) == 5
+        assert len(label_checks) == 2
+        assert label_checks[0][0] is tl.values and label_checks[1][0] is vl.values
+        assert [args[1:] for args in label_checks] == [(num_classes,)] * 2
 
     def test_seed_determinism_byte_identical(self):
         (tr_cube, tr_lab), (va_cube, va_lab) = planted3_data()
