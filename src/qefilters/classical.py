@@ -98,11 +98,7 @@ def stratified_sample(
     for i, (cube, labels) in enumerate(cubes):
         if not np.array_equal(cube.wavelengths_nm, cubes[0][0].wavelengths_nm):
             raise DataError(f"cube {i}'s wavelengths_nm differ from cube 0's; the cubes must share one channel grid")
-        labels = np.asarray(labels)
-        expected = (cube.dims[0],) + cube.dims[2:]
-        if labels.shape != expected:
-            raise DataError(f"labels have shape {labels.shape}, not the cube's (B, H, W) {expected}")
-        target, mask = _check_labels(labels)
+        target, mask = _check_labels(labels, None, (cube.dims[0],) + cube.dims[2:])
         labeled.append(target[mask])
     if not any(lab.size for lab in labeled):
         raise DataError("no labeled pixels in any cube")

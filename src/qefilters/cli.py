@@ -258,8 +258,6 @@ def _cmd_eval(args) -> int:
     if pred is None:
         raise DataError(f"{args.pred} carries no label block")
     _, truth, truth_classes = _read_labeled(args.truth)
-    if pred.values.shape != truth.shape:
-        raise DataError(f"prediction labels {pred.values.shape} do not match truth {truth.shape}")
     cm = ConfusionMatrix(max(pred.num_classes, truth_classes)).accumulate(pred.values, truth)
     report = compute_metrics(cm)
     text = json.dumps(report.to_dict(), indent=2) + "\n"

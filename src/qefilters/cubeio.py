@@ -231,8 +231,8 @@ def parse_cube(blob) -> tuple[Hypercube, LabelMap | None]:
 def _encode(cube: Hypercube, labels: LabelMap | None) -> tuple[bytes, np.ndarray, bytes]:
     """The header, the float32 payload and the label block (empty without labels).
 
-    Rejects with :class:`DataError` the label values ``metrics._check_labels``
-    rejects, which covers those u16 cannot hold, and runs the checks of
+    Rejects with :class:`DataError` the label maps ``metrics._check_labels``
+    rejects, which covers values u16 cannot hold, and runs the checks of
     :func:`parse_cube`, whose errors carry the offset the file would have had.
     """
     b, c, h, w = cube.dims
@@ -247,13 +247,11 @@ def _encode(cube: Hypercube, labels: LabelMap | None) -> tuple[bytes, np.ndarray
     label_block = b""
     if labels is not None:
         values = np.asarray(labels.values)
-        if values.shape != (b, h, w):
-            raise DataError(f"label shape {values.shape} does not match cube {(b, h, w)}")
         num_classes, ignore = labels.num_classes, labels.ignore_value
         for name, value in (("class count", num_classes), ("ignore value", ignore)):
             if not 0 <= value <= _U16_MAX:
                 raise DataError(f"{name} {value} outside [0, {_U16_MAX}]")
-        _check_labels(values)
+        _check_labels(values, None, (b, h, w))
         k_off = data_off + 4 * data.size + 4
         _check_class_count(num_classes, k_off)
         _check_stored_labels(values, num_classes, ignore, k_off + 4)

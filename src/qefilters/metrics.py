@@ -3,8 +3,11 @@
 Rows index ground truth, columns index predictions. Classes absent from the
 ground truth have undefined IoU/F1 and are excluded from the macro means.
 All metrics are reported on a 0-100 scale (kappa on -100..100), two decimals
-in formatted output. ``_check_labels`` holds the package's one rule for
-label values, and ``_count`` counts truth·K + prediction on its pair.
+in formatted output. ``_check_labels`` holds the package's one rule for a
+label map, its values and its (B, H, W) shape against its batch: ``train``
+(each split), ``seg_loss``, ``accumulate``, ``stratified_sample`` and the
+``.hypc`` writer run it with the shape, ``inverse_frequency_weights`` without.
+``_count`` counts truth·K + prediction on its pair.
 """
 
 from __future__ import annotations
@@ -18,16 +21,19 @@ from .errors import DataError
 IGNORE_LABEL = 65535  # the library's one unlabeled value; the CLI maps each file's to it
 
 
-def _check_labels(labels, num_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _check_labels(labels, num_classes: int | None = None, shape=None, name="labels") -> tuple[np.ndarray, np.ndarray]:
     """The class index (``np.intp``, 0 where unlabelled) and the labelled mask of a label map.
 
-    The package's one rule for labels: each is an integer, not NaN or
-    infinite; ``IGNORE_LABEL`` marks an unlabelled pixel; any other lies in
-    [0, K), or in [0, IGNORE_LABEL) without K. It runs on the values as
-    given, before the cast, and its ``DataError`` names the first bad label.
+    The package's one rule for labels: the map has the (B, H, W) ``shape`` of
+    its batch, if given; each label is an integer, not NaN or infinite;
+    ``IGNORE_LABEL`` marks an unlabelled pixel; any other lies in [0, K), or
+    in [0, IGNORE_LABEL) without K. It runs on the values as given, before
+    the cast, and its ``DataError`` names both shapes or the first bad label.
     An integer map costs one mask, one ``np.where`` and its min and max.
     """
     labels = np.asarray(labels)
+    if shape is not None and labels.shape != shape:
+        raise DataError(f"{name} have shape {labels.shape}, not the batch's {shape}")
     mask = labels != IGNORE_LABEL
     target = np.where(mask, labels, 0)
     limit = IGNORE_LABEL if num_classes is None else num_classes
@@ -76,9 +82,7 @@ class ConfusionMatrix:
         predictions are integers, and in [0, K) where the labels are labelled.
         """
         pred = np.asarray(predictions)
-        if pred.shape != np.shape(labels):
-            raise DataError(f"prediction shape {pred.shape} does not match labels {np.shape(labels)}")
-        target, mask = _check_labels(labels, self.num_classes)
+        target, mask = _check_labels(labels, self.num_classes, pred.shape)
         _reject_first(pred, mask, self.num_classes, "prediction")
         self.counts += _count(target, mask, pred, self.num_classes)
         return self

@@ -113,7 +113,6 @@ def separation_loss(params: FilterBankParams, d_min: float) -> tuple[float, np.n
     margin = d_min - np.abs(diff)
     np.fill_diagonal(margin, 0.0)
     active = margin > 0.0
-    np.fill_diagonal(active, False)
     loss = float(margin[active].sum()) / num_filters**2
     # Both ordered pairs (f, k) and (k, f) contribute the same derivative.
     d_c = -2.0 * np.sum(np.sign(diff) * active, axis=1) / num_filters**2

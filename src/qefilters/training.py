@@ -32,9 +32,10 @@ adds. None of this depends on the BLAS thread count or the worker count (see
 
 Validation and allocation happen at fixed places. A cube is checked once,
 when it is built or read, and ``train`` checks once, before the first step,
-that the bank fits the training cube and that each split's labels pass
-``metrics._check_labels``. Its class weights, losses (``_seg_loss``) and mIoU
-counts read the pair that returns; public ``seg_loss`` checks its own. The
+that the bank fits the training cube, and each split's labels, shape and
+values, in one ``metrics._check_labels`` call per split. Its class weights,
+losses (``_seg_loss``) and mIoU counts read the pair that returns; public
+``seg_loss`` checks its own against the logits. The
 loss computes one softmax that both terms read: cross-entropy scatters at the
 label into a new gradient array, then Dice turns the softmax into its
 gradient in place, selecting each pixel's per-class gradient with a boolean
@@ -284,10 +285,8 @@ def seg_loss(logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray) 
         raise ConfigurationError(f"class weights must have shape ({num_classes},)")
     if not np.all(weights >= 0):  # NaN fails this too
         raise ConfigurationError("class weights must be non-negative numbers")
-    expected = (len(logits),) + logits.shape[2:]
-    if np.shape(labels) != expected:
-        raise DataError(f"labels have shape {np.shape(labels)}, not (B, H, W) {expected} of logits {logits.shape}")
-    target, mask = (a[:, None] for a in _check_labels(labels, num_classes))  # (B, 1, H, W)
+    shape = (len(logits),) + logits.shape[2:]
+    target, mask = (a[:, None] for a in _check_labels(labels, num_classes, shape))  # (B, 1, H, W)
     if not mask.any():
         raise DataError("all pixels are ignored; the loss is undefined")
     return _seg_loss(logits, target, mask, weights)
@@ -531,14 +530,12 @@ def train(
     """
     train_cube, train_labels = train_data
     val_cube, val_labels = val_data
-    for split, cube, labels in (("train", train_cube, train_labels), ("val", val_cube, val_labels)):
-        expected = (cube.dims[0],) + cube.dims[2:]
-        if np.shape(labels) != expected:
-            raise DataError(f"{split} labels have shape {np.shape(labels)}, not (B, H, W) {expected}")
     if train_cube.dims[0] < 1 or val_cube.dims[0] < 1:
         raise ConfigurationError("need at least one training and one validation image")
-    train_target, train_mask = _check_labels(train_labels, num_classes)
-    val_target, val_mask = _check_labels(val_labels, num_classes)
+    (train_target, train_mask), (val_target, val_mask) = (
+        _check_labels(labels, num_classes, (cube.dims[0],) + cube.dims[2:], f"{split} labels")
+        for split, cube, labels in (("train", train_cube, train_labels), ("val", val_cube, val_labels))
+    )
     if not train_mask.any() or not val_mask.any():
         raise ConfigurationError("a split has no labeled pixels")
 

@@ -1,9 +1,11 @@
 """The one label rule (``metrics._check_labels``) at every entry that takes labels.
 
-A label is an integer; ``IGNORE_LABEL`` marks an unlabelled pixel; any other
-label lies in [0, K), or in [0, IGNORE_LABEL) when K is not given. Every
-entry rejects a label that breaks the rule with a ``DataError`` naming the
-value as given, before it casts the labels or infers K from them.
+A label map has the (B, H, W) of the batch it labels. A label is an integer;
+``IGNORE_LABEL`` marks an unlabelled pixel; any other label lies in [0, K),
+or in [0, IGNORE_LABEL) when K is not given. Every entry rejects a label
+that breaks the rule with a ``DataError`` naming the value as given, and a
+map of another shape with one naming both shapes, before it casts the labels
+or infers K from them.
 """
 
 import re
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from qefilters import ConfusionMatrix, DataError, Hypercube, TrainConfig, train, write_cube
 from qefilters.classical import stratified_sample
+from qefilters.cli import cli
 from qefilters.cubeio import LabelMap, serialize_cube
 from qefilters.metrics import IGNORE_LABEL
 from qefilters.training import inverse_frequency_weights, seg_loss
@@ -26,8 +29,9 @@ BAD_AT = (1, 2, 3)
 CONFIG = TrainConfig(learning_rate=1e-2, max_epochs=1, patience=1, batch_size=2, seed=0)
 
 
-def cube_for(labels):
-    data = np.random.default_rng(1).random((labels.shape[0], 4) + labels.shape[1:])
+def make_cube(shape=SHAPE):
+    """A 4-channel cube whose label maps have the (B, H, W) ``shape``."""
+    data = np.random.default_rng(1).random((shape[0], 4) + shape[1:])
     return Hypercube(data, np.linspace(470.0, 630.0, 4))
 
 
@@ -43,20 +47,20 @@ ENTRIES_WITH_K = {
     "seg_loss": lambda labels, path: seg_loss(np.zeros((SHAPE[0], K) + SHAPE[1:]), labels, np.ones(K)),
     "inverse_frequency_weights": lambda labels, path: inverse_frequency_weights(labels, K),
     "train-K-train-split": lambda labels, path: train(
-        (cube_for(labels), labels), (cube_for(labels), valid_labels()), 1, 1, CONFIG, num_classes=K),
+        (make_cube(), labels), (make_cube(), valid_labels()), 1, 1, CONFIG, num_classes=K),
     "train-K-val-split": lambda labels, path: train(
-        (cube_for(labels), valid_labels()), (cube_for(labels), labels), 1, 1, CONFIG, num_classes=K),
+        (make_cube(), valid_labels()), (make_cube(), labels), 1, 1, CONFIG, num_classes=K),
     "accumulate-truth": lambda labels, path: ConfusionMatrix(K).accumulate(valid_labels() % IGNORE_LABEL, labels),
     "accumulate-prediction": lambda labels, path: ConfusionMatrix(K).accumulate(labels, valid_labels()),
-    "serialize_cube": lambda labels, path: serialize_cube(cube_for(labels), LabelMap(labels, K)),
-    "write_cube": lambda labels, path: write_cube(cube_for(labels), LabelMap(labels, K), path),
+    "serialize_cube": lambda labels, path: serialize_cube(make_cube(), LabelMap(labels, K)),
+    "write_cube": lambda labels, path: write_cube(make_cube(), LabelMap(labels, K), path),
 }
 ENTRIES_INFERRING_K = {
     "train-train-split": lambda labels, path: train(
-        (cube_for(labels), labels), (cube_for(labels), valid_labels()), 1, 1, CONFIG),
+        (make_cube(), labels), (make_cube(), valid_labels()), 1, 1, CONFIG),
     "train-val-split": lambda labels, path: train(
-        (cube_for(labels), valid_labels()), (cube_for(labels), labels), 1, 1, CONFIG),
-    "stratified_sample": lambda labels, path: stratified_sample([(cube_for(labels), labels)], 100, seed=0),
+        (make_cube(), valid_labels()), (make_cube(), labels), 1, 1, CONFIG),
+    "stratified_sample": lambda labels, path: stratified_sample([(make_cube(), labels)], 100, seed=0),
 }
 ENTRIES = {**ENTRIES_WITH_K, **ENTRIES_INFERRING_K}
 
@@ -92,6 +96,42 @@ class TestEveryEntry:
         pred[BAD_AT] = IGNORE_LABEL
         with pytest.raises(DataError, match=rf"prediction {IGNORE_LABEL} outside \[0, {K}\)"):
             ConfusionMatrix(K).accumulate(pred, valid_labels())
+
+
+# inverse_frequency_weights labels no batch, so a map of any shape is its own.
+SHAPED = [name for name in ENTRIES if name != "inverse_frequency_weights"]
+OTHER_SHAPES = {"one-image-short": slice(1, None), "2-d": 0}  # indexes into valid_labels()
+SHAPE_MESSAGE = r"(?:(train|val) )?labels have shape (\(.*\)), not the batch's (\(.*\))"
+
+
+class TestShape:
+    @pytest.mark.parametrize("index", OTHER_SHAPES.values(), ids=OTHER_SHAPES)
+    @pytest.mark.parametrize("name", SHAPED)
+    def test_map_of_another_shape_raises_one_data_error_naming_both(self, tmp_path, name, index):
+        labels = valid_labels()[index]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                call(name, labels, tmp_path)
+        match = re.fullmatch(SHAPE_MESSAGE, str(err.value))
+        assert match, str(err.value)
+        assert {match[2], match[3]} == {str(labels.shape), str(SHAPE)}
+        assert match[1] == (name.split("-")[-2] if name.startswith("train") else None)
+        assert not (tmp_path / "labels.hypc").exists()
+
+    @pytest.mark.parametrize("shape", [(SHAPE[0] - 1,) + SHAPE[1:], SHAPE[:2] + (SHAPE[2] - 1,)],
+                             ids=["one-image-short", "narrower"])
+    def test_eval_of_a_prediction_file_of_another_shape(self, tmp_path, capsys, shape):
+        write_cube(make_cube(), LabelMap(valid_labels(), K), tmp_path / "truth.hypc")
+        pred = np.zeros(shape, dtype=np.int64)
+        write_cube(make_cube(shape), LabelMap(pred, K), tmp_path / "pred.hypc")
+        argv = ["--pred", str(tmp_path / "pred.hypc"), "--truth", str(tmp_path / "truth.hypc")]
+        assert cli(["eval", *argv, "--out", str(tmp_path / "m")]) == 2
+        # The truth file holds the labels; the predictions are the batch they label.
+        err = capsys.readouterr().err.strip()
+        match = re.fullmatch("error: " + SHAPE_MESSAGE, err)
+        assert match and match.groups() == (None, str(SHAPE), str(shape)), err
+        assert not (tmp_path / "m").exists()
 
 
 # Label maps of integers or of floats: valid classes and the unlabelled

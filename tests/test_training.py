@@ -155,7 +155,7 @@ class TestSegLoss:
     def test_labels_must_have_the_logits_batch_and_plane_shape(self, monkeypatch, shape):
         softmax_calls = record_calls(monkeypatch, "_softmax")
         logits = np.zeros((2, 3, 4, 4))
-        message = re.escape(f"labels have shape {shape}, not (B, H, W) (2, 4, 4) of logits (2, 3, 4, 4)")
+        message = re.escape(f"labels have shape {shape}, not the batch's (2, 4, 4)")
         with pytest.raises(DataError, match=message):
             seg_loss(logits, np.zeros(shape, dtype=int), np.ones(3))
         assert softmax_calls == []
@@ -848,7 +848,10 @@ class TestTrainLoop:
         assert len(report.records) == 5
         assert len(label_checks) == 2
         assert label_checks[0][0] is tl.values and label_checks[1][0] is vl.values
-        assert [args[1:] for args in label_checks] == [(num_classes,)] * 2
+        assert [args[1:] for args in label_checks] == [
+            (num_classes, (tc.dims[0],) + tc.dims[2:], "train labels"),
+            (num_classes, (vc.dims[0],) + vc.dims[2:], "val labels"),
+        ]
 
     def test_seed_determinism_byte_identical(self):
         (tr_cube, tr_lab), (va_cube, va_lab) = planted3_data()
