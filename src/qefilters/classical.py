@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .metrics import _check_labels
-from .projection import Hypercube
+from .projection import Hypercube, _each_image_block, _image_values
 from .rng import make_generator
 
 _STD_FLOOR = 1e-8  # constant bands standardize to zero instead of blowing up
@@ -231,16 +231,24 @@ def fit_nmf(
 
 
 def project(cube: Hypercube, stats: BandStats, projection: LinearProjection) -> np.ndarray:
-    """Check both band counts, standardize, add any NMF shift in place, then matrix-multiply per pixel."""
+    """Check both band counts; then, image by image, standardize, add any NMF shift and matrix-multiply per pixel."""
     bands = cube.dims[1]
     if stats.mean.size != bands:
         raise DataError(f"stats cover {stats.mean.size} bands but cube has {bands}")
     if projection.components.shape[1] != bands:
         raise DataError(f"projection covers {projection.components.shape[1]} bands but cube has {bands}")
-    data = _standardize(cube.data, stats)
-    if projection.shift is not None:
-        data += projection.shift[None, :, None, None]
-    return np.einsum("fc,bchw->bfhw", projection.components, data)
+    out = np.empty((cube.dims[0], len(projection.components)) + cube.dims[2:])
+
+    def block(lo, hi):
+        for i in range(lo, hi):
+            data = _standardize(cube.data[i : i + 1], stats)
+            if projection.shift is not None:
+                data += projection.shift[None, :, None, None]
+            np.einsum("fc,bchw->bfhw", projection.components, data, out=out[i : i + 1])
+            del data  # before the next image's copy, so one is alive per thread
+
+    _each_image_block(block, len(out), _image_values(cube.data, out))
+    return out
 
 
 @dataclass

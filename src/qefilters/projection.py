@@ -10,28 +10,30 @@ oracle in the test suite guards the derivation.
 All arithmetic is 64-bit. Two kinds of contraction run on the training
 path, and at the shapes tested below neither depends on the BLAS threads:
 
-- a contraction over the channel (or feature) axis is one BLAS GEMM per image
-  (:func:`_contract_channels`). BLAS splits the output pixels across threads,
-  and each output is one whole dot product over channels computed by one
-  thread, so the thread count does not change it;
+- a contraction over the channel (or feature) axis is one BLAS GEMM per
+  image, bias included (:func:`_contract_channels`). BLAS splits the output
+  pixels across threads, and each output is one whole dot product over
+  channels computed by one thread, so the thread count does not change it;
 - a weighted reduction over the pixel axis (the gradient of the bank, or of
   the linear head's folded matrix W·Q, and the MLP's weight gradients) is one
-  BLAS GEMM per fixed block of ``_PIXEL_BLOCK`` pixels, image by image, with
-  the blocks' products added in block order (:func:`_reduce_pixels`). The
-  block size is fixed, so the summation order depends on the array shapes
-  alone. One GEMM over a whole image's pixels, or over blocks four times
-  longer, gave different bytes under one and two BLAS threads; this block
-  size keeps them at the tested shapes only. Under OpenBLAS 0.3.31
-  (SkylakeX), 100 x 100 pixel images reduced at 5 x 128, 8 x 128, 19 x 33 or
-  24 x 25 differ, and ``train`` on a (4, 128, 100, 100) cube does too.
+  BLAS GEMM per fixed block of ``_PIXEL_BLOCK`` pixels, one ``np.matmul``
+  call per image, the blocks' products added in block order
+  (:func:`_reduce_pixels`). The block size is fixed, so the summation order
+  depends on the array shapes alone. One GEMM over a whole image's pixels, or
+  over blocks four times longer, gave different bytes under one and two BLAS
+  threads; this block size keeps them at the tested shapes only. Under
+  OpenBLAS 0.3.31 (SkylakeX), 100 x 100 pixel images reduced at 5 x 128,
+  8 x 128, 19 x 33 or 24 x 25 differ, and ``train`` on a (4, 128, 100, 100)
+  cube does too.
 
 Per-image work runs on threads through :func:`_each_image_block`, and every
-sum across images is taken on the calling thread in image order, so the
-bytes do not depend on the number of CPUs either. Each caller states its
-work, the values one image's pass reads and writes (:func:`_image_values`),
-and a batch goes to the pool only when that work reaches ``_POOL_WORK``:
-the kernels that read the cube at 64 x 64 pixels split, the MLP's layers
-and the loss there run inline, and every kernel at 256 x 256 splits.
+sum across images (block products, plane sums in :func:`_plane_sums`) is
+taken on the calling thread in image order, so the bytes do not depend on the
+number of CPUs either. Each caller states its work, the values one image's
+pass reads and writes (:func:`_image_values`), and a batch goes to the pool
+only when that work reaches ``_POOL_WORK``: the kernels that read the cube at
+64 x 64 pixels split, the MLP's layers and the loss there run inline, and
+every kernel at 256 x 256 splits.
 
 ``tests/test_training.py::TestTrainLoop::test_report_independent_of_blas_threads``
 trains under one and two BLAS threads and compares the reports byte for byte,
@@ -119,8 +121,8 @@ _PIXEL_BLOCK = 4096
 # calling thread. A constant, not an option. Timed on 1 and 2 workers with
 # 4 images and one BLAS thread, the head and loss kernels at 64 x 64 pixels
 # (work 2**14 to 2**16) lost time on the pool and contractions near 2**17
-# broke even; the cube contraction at 64 x 64 (2**19), the contractions at
-# 2**18 and up and the loss at 256 x 256 (2**18.3) gained.
+# broke even; the cube contraction at 64 x 64 (2**19), the contractions and
+# the pixel reduction at 2**18 and up and the loss at 256 x 256 (2**18.3) gained.
 _POOL_WORK = 1 << 18
 
 
@@ -192,8 +194,8 @@ def _each_image_block(fn, count: int, work: int) -> list:
     return [first] + [job.result() for job in jobs]
 
 
-def _contract_channels(matrix: np.ndarray, x: np.ndarray, images=None) -> np.ndarray:
-    """out[i,f,h,w] = sum_c matrix[f,c] * x[images[i],c,h,w], as one GEMM per image.
+def _contract_channels(matrix: np.ndarray, x: np.ndarray, images=None, bias=None) -> np.ndarray:
+    """out[i,f,h,w] = sum_c matrix[f,c] * x[images[i],c,h,w] (+ bias[f], in place), as one GEMM per image.
 
     ``matrix`` is (F, C) and may be a transposed view; ``x`` is (B, C, H, W)
     and may be any view (a non-contiguous image is copied by the reshape).
@@ -207,6 +209,8 @@ def _contract_channels(matrix: np.ndarray, x: np.ndarray, images=None) -> np.nda
     def contract(lo, hi):
         for i in range(lo, hi):
             np.matmul(matrix, x[images[i]].reshape(c, h * w), out=out[i])
+        if bias is not None:
+            out[lo:hi] += bias[:, None]
 
     _each_image_block(contract, len(images), _image_values(x, out))
     return out.reshape(len(images), matrix.shape[0], h, w)
@@ -219,27 +223,36 @@ def _reduce_pixels(a: np.ndarray, x: np.ndarray, images=None) -> np.ndarray:
     (a non-contiguous image is copied by the reshape). ``images`` indexes
     ``x``'s images, each read in place; by default every image, in order.
     Adds ``a_blk @ x_blk.T`` over blocks of ``_PIXEL_BLOCK`` pixels, image by
-    image and block by block in order, starting from zeros; the products are
-    computed image by image on the workers and added on the calling thread.
+    image and block by block in order, starting from zeros; on the workers,
+    one ``np.matmul`` call per image makes its whole blocks' products.
     """
     images = range(len(x)) if images is None else images
-    pixels = a.shape[2] * a.shape[3]
+    rows, cols, pixels = a.shape[1], x.shape[1], a.shape[2] * a.shape[3]
+    whole = pixels - pixels % _PIXEL_BLOCK
 
     def products(lo, hi):
         out = []
         for i in range(lo, hi):
-            a_img = a[i].reshape(-1, pixels)
-            x_img = x[images[i]].reshape(-1, pixels)
-            for start in range(0, pixels, _PIXEL_BLOCK):
-                stop = start + _PIXEL_BLOCK
-                out.append(a_img[:, start:stop] @ x_img[:, start:stop].T)
+            a_img, x_img = a[i].reshape(rows, pixels), x[images[i]].reshape(cols, pixels)
+            if whole:
+                a_blk = a_img[:, :whole].reshape(rows, -1, _PIXEL_BLOCK).transpose(1, 0, 2)
+                out.extend(np.matmul(a_blk, x_img[:, :whole].reshape(cols, -1, _PIXEL_BLOCK).transpose(1, 2, 0)))
+            if whole < pixels:
+                out.append(a_img[:, whole:] @ x_img[:, whole:].T)
         return out
 
-    out = np.zeros((a.shape[1], x.shape[1]))
-    for block in _each_image_block(products, len(a), _image_values(a, x)):
-        for product in block:
-            out += product
-    return out
+    blocks = _each_image_block(products, len(a), _image_values(a, x))
+    return sum((product for block in blocks for product in block), np.zeros((rows, cols)))
+
+
+def _plane_sums(a: np.ndarray) -> np.ndarray:
+    """Each image's plane sums, added in image order: ``np.sum(a, axis=(0, 2, 3))``'s bytes for a contiguous ``a``."""
+
+    def sums(lo, hi):
+        return np.sum(a[lo:hi], axis=(2, 3))  # a row per image
+
+    blocks = _each_image_block(sums, len(a), _image_values(a))
+    return sum((image_sums for block in blocks for image_sums in block), np.zeros(a.shape[1]))
 
 
 def _check_response(response: FilterResponseMatrix, cube: Hypercube) -> None:

@@ -19,15 +19,16 @@ reads those images in place and returns dL/dQ. The linear head folds Q into
 its weight, one GEMM per image with the (K, C) matrix W·Q and one pixel
 reduction against the cube, so it makes no (B, F, H, W) features; the MLP
 head contracts with Q, then runs its layers. Contractions are one BLAS GEMM
-per image (``projection._contract_channels``) and pixel sums one per fixed
-pixel block, added in block order (``projection._reduce_pixels``). The
+per image, bias included (``projection._contract_channels``), pixel sums one
+per fixed pixel block, added in block order (``projection._reduce_pixels``),
+and a bias gradient the images' plane sums (``projection._plane_sums``). The
 per-image work of a step runs on threads through
 ``projection._each_image_block`` when it is large enough, and every sum
-across images is taken on the calling thread in image order. The
-evaluation at each epoch's end and in ``predict`` is one pass per block of
-images (``_predict``): the head's private ``_forward``, the argmax and at
-the epoch's end the counts of ``metrics._count``, which the calling thread
-adds. None of this depends on the BLAS thread count or the worker count (see
+across images is taken on the calling thread in image order. The evaluation
+at each epoch's end and in ``predict`` is one pass per block of images
+(``_predict``): the head's private ``_forward``, the argmax and at the
+epoch's end the counts of ``metrics._count``, which the calling thread adds.
+None of this depends on the BLAS thread count or the worker count (see
 :mod:`qefilters.projection`), so runs reproduce bit-for-bit under any count.
 
 Validation and allocation happen at fixed places. A cube is checked once,
@@ -35,14 +36,14 @@ when it is built or read, and ``train`` checks once, before the first step,
 that the bank fits the training cube, and each split's labels, shape and
 values, in one ``metrics._check_labels`` call per split. Its class weights,
 losses (``_seg_loss``) and mIoU counts read the pair that returns; public
-``seg_loss`` checks its own against the logits. The
-loss computes one softmax that both terms read: cross-entropy scatters at the
-label into a new gradient array, then Dice turns the softmax into its
-gradient in place, selecting each pixel's per-class gradient with a boolean
-one-hot, one image-sized array per block of images. The heads add biases and
-apply ``tanh`` in place. The bank and its regularizers are evaluated once at
-the start and once after every optimizer step; the next batch, the epoch-end
-evaluations and the epoch record all reuse that evaluation.
+``seg_loss`` checks its own against the logits. The loss computes one softmax
+that both terms read: cross-entropy scatters at the label into a new gradient
+array, then Dice turns the softmax into its gradient in place, selecting each
+pixel's per-class gradient with a boolean one-hot, one image-sized array per
+block of images; cross-entropy's gradient adds Dice's block by block. The
+heads apply ``tanh`` in place. The bank and its regularizers are evaluated
+once at the start and once after every optimizer step; the next batch, the
+epoch-end evaluations and the epoch record all reuse that evaluation.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .projection import (
     _contract_channels,
     _each_image_block,
     _image_values,
+    _plane_sums,
     _reduce_pixels,
 )
 from .regularization import RegConfig, total_reg
@@ -93,16 +95,14 @@ class LinearHead:
 
     def _forward(self, x: np.ndarray, q: np.ndarray | None = None, images=None):
         matrix = self.weight if q is None else self.weight @ q
-        logits = _contract_channels(matrix, x, images)
-        logits += self.bias[None, :, None, None]
-        return logits, (x, q, images)
+        return _contract_channels(matrix, x, images, self.bias), (x, q, images)
 
     forward = _forward
 
     def backward(self, cache, d_logits: np.ndarray):
         x, q, images = cache
         reduced = _reduce_pixels(d_logits, x, images)
-        bias = np.sum(d_logits, axis=(0, 2, 3))
+        bias = _plane_sums(d_logits)
         if q is None:
             return {"weight": reduced, "bias": bias}, _contract_channels(self.weight.T, d_logits)
         return {"weight": reduced @ q.T, "bias": bias}, self.weight.T @ reduced
@@ -241,19 +241,14 @@ def soft_dice(p: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tuple[floa
         p[lo:hi] *= mask[lo:hi]  # zero where ignored
         np.equal(target[lo:hi], classes, out=onehot[lo:hi])
         onehot[lo:hi] &= mask[lo:hi]
-        image = np.empty(p.shape[1:])
-        sums = []
-        for p_img, g_img in zip(p[lo:hi], onehot[lo:hi]):
-            overlap = np.sum(np.multiply(p_img, g_img, out=image), axis=(1, 2))
-            sums.append((overlap, np.sum(np.add(p_img, g_img, out=image), axis=(1, 2))))
+        image, sums = np.empty(p.shape[1:]), np.empty((hi - lo, 2, num_classes))
+        for image_sums, p_img, g_img in zip(sums, p[lo:hi], onehot[lo:hi]):
+            np.sum(np.multiply(p_img, g_img, out=image), axis=(1, 2), out=image_sums[0])
+            np.sum(np.add(p_img, g_img, out=image), axis=(1, 2), out=image_sums[1])
         return sums
 
-    overlap = np.zeros(num_classes)
-    total = np.zeros(num_classes)
-    for block in _each_image_block(plane_sums, len(p), _image_values(p)):
-        for image_overlap, image_total in block:
-            overlap += image_overlap
-            total += image_total
+    blocks = _each_image_block(plane_sums, len(p), _image_values(p))
+    overlap, total = sum((image_sums for block in blocks for image_sums in block), np.zeros((2, num_classes)))
     denom = total + 1.0
     dice_k = (2.0 * overlap + 1.0) / denom
     value = float(1.0 - dice_k.mean())
@@ -297,7 +292,11 @@ def _seg_loss(logits, target, mask, weights) -> tuple[float, np.ndarray]:
     probs = _softmax(logits)
     ce, grad = weighted_cross_entropy(probs, target, mask, weights)
     dice, dice_grad = soft_dice(probs, target, mask)
-    grad += dice_grad
+
+    def add(lo, hi):
+        grad[lo:hi] += dice_grad[lo:hi]
+
+    _each_image_block(add, len(grad), _image_values(grad, dice_grad))
     return ce + dice, grad
 
 

@@ -329,6 +329,22 @@ class TestProject:
             project(cube, stats, LinearProjection(kind="pca", components=np.eye(3)))
         assert standardized == []
 
+    # 5 images of 40 x 40 pixels, split over 1, 2 and 3 workers: each image's
+    # standardized copy and einsum give the bytes of one einsum over the
+    # whole standardized cube.
+    @pytest.mark.parametrize("kind", ["pca", "nmf"])
+    def test_image_by_image_is_the_whole_cube_einsum(self, under_workers, kind):
+        cube, _ = labeled_cube(23, 5, 40, 40, channels=9)
+        rng = np.random.default_rng(24)
+        stats = BandStats(mean=rng.random(9), std=rng.random(9) + 0.5)
+        shift = rng.random(9) if kind == "nmf" else None
+        proj = LinearProjection(kind=kind, components=rng.normal(size=(3, 9)), shift=shift)
+        z = _standardize(cube.data, stats)
+        if shift is not None:
+            z += shift[None, :, None, None]
+        expected = np.einsum("fc,bchw->bfhw", proj.components, z).tobytes()
+        assert under_workers(lambda: project(cube, stats, proj).tobytes()) == [expected] * 5
+
     def test_leaves_the_cube_alone(self):
         cube, _ = labeled_cube(22, 2, 3, 3, channels=3)
         before = cube.data.copy()

@@ -25,10 +25,11 @@ from qefilters import (
     init_filter_bank,
     normalize_wavelengths,
 )
-from qefilters import cubeio, projection, synthetic, training
+from qefilters import classical, cubeio, projection, synthetic, training
 from qefilters.filterbank import CENTROID
 from qefilters.projection import _POOL_WORK, _contract_channels, _each_image_block, _reduce_pixels
 
+from oracles import blocked_pixel_reduction
 from tasks import planted3_spec
 
 HYKO = WavelengthRange(470.0, 630.0)
@@ -113,6 +114,17 @@ class TestReducePixels:
         self.check(rng.random((1, 8, 64, 64)), rng.random((1, 128, 64, 64)))
         self.check(rng.random((1, 3, 1, 1)), rng.random((1, 5, 1, 1)))
         self.check(rng.random((4, 2, 1, 1)), rng.random((4, 6, 1, 1)))
+
+    # 256 x 256 pixels are 16 whole blocks, 100 x 100 two and a partial one,
+    # 28 x 28 a partial block alone. Two images, read out of order, and an
+    # ``a`` with its class axis last in memory; any worker count.
+    @pytest.mark.parametrize("size", [256, 100, 28])
+    def test_bytes_of_the_blocked_oracle(self, under_workers, size):
+        rng = np.random.default_rng(size)
+        x, idx = rng.random((2, 25, size, size)), np.array([1, 0])
+        a = rng.normal(size=(2, size, size, 5)).transpose(0, 3, 1, 2)
+        expected = blocked_pixel_reduction(a, x[idx]).tobytes()
+        assert under_workers(lambda: _reduce_pixels(a, x, idx).tobytes()) == [expected] * 5
 
     # The shapes training reduces (hsidrive: the linear head's folded K x C =
     # 5 x 25 at 256 x 256, and F x C = 3 x 25 of an unfolded head; wide: 8 x
@@ -266,10 +278,12 @@ class TestEachImageBlock:
             config = training.TrainConfig(learning_rate=2e-2, max_epochs=1, patience=1, batch_size=3, head=head)
             report = training.train((cube, labels.values), (cube, labels.values), 2, 1, config)
             training.predict(report, cube)
+        pipeline = classical.fit_reduction_pipeline([(cube, labels.values)], "nmf", 2, target_total=200)
+        classical.project(cube, pipeline.stats, pipeline.projection)
 
         assert {name for name, _ in calls} >= {
             "synthetic.gen_synthetic", "cubeio.write_cube", "cubeio.read_cube", "training.train",
-            "training.LinearHead.forward", "training.MlpHead.backward", "training.predict",
+            "training.LinearHead.forward", "training.MlpHead.backward", "training.predict", "classical.project",
         }
         assert [name for name, inside in calls if inside] == []
 

@@ -343,13 +343,15 @@ class TestPoolRouting:
     """
 
     @pytest.mark.parametrize(
-        "shape, filters, head_kind, matrix_sizes, pooled",
+        "shape, filters, head_kind, matrix_sizes, bias_planes, pooled",
         [
             # matrix_sizes: rows + columns of each matrix that contracts or
             # reduces. The linear head folds the bank into one (K, C) matrix.
-            pytest.param((4, 25, 256, 256), 3, "linear", [5 + 25], None, id="hsidrive"),
+            # bias_planes: the planes of each layer's output gradient, whose
+            # plane sums are its bias gradient.
+            pytest.param((4, 25, 256, 256), 3, "linear", [5 + 25], [5], None, id="hsidrive"),
             pytest.param(
-                (4, 128, 64, 64), 8, "mlp", [8 + 128, 8 + 8, 5 + 8],
+                (4, 128, 64, 64), 8, "mlp", [8 + 128, 8 + 8, 5 + 8], [8, 5],
                 {
                     ("_contract_channels.<locals>.contract", 4096 * 136),
                     ("_reduce_pixels.<locals>.products", 4096 * 136),
@@ -359,7 +361,7 @@ class TestPoolRouting:
             ),
         ],
     )
-    def test_calls_reaching_the_pool(self, monkeypatch, shape, filters, head_kind, matrix_sizes, pooled):
+    def test_calls_reaching_the_pool(self, monkeypatch, shape, filters, head_kind, matrix_sizes, bias_planes, pooled):
         b, c, h, w = shape
         rng = np.random.default_rng(5)
         wl = np.linspace(600.0, 975.0, c)
@@ -397,11 +399,13 @@ class TestPoolRouting:
         assert passed == {
             "_contract_channels.<locals>.contract": spectral,
             "_reduce_pixels.<locals>.products": spectral,
+            "_plane_sums.<locals>.sums": {pixels * planes for planes in bias_planes},
             "_softmax.<locals>.softmax": loss,
             "weighted_cross_entropy.<locals>.log_likelihood": loss,
             "weighted_cross_entropy.<locals>.gradient": loss,
             "soft_dice.<locals>.plane_sums": loss,
             "soft_dice.<locals>.gradient": loss,
+            "_seg_loss.<locals>.add": {pixels * 5 * 2},  # the loss gradient and Dice's
             "_predict.<locals>.block": {pixels * c},
         }
 
@@ -437,6 +441,33 @@ class TestHeadWeightGradients:
         np.testing.assert_allclose(grads["weight"], expected_grads[0], rtol=1e-12)
         assert grads["bias"].tobytes() == expected_grads[1].tobytes()
         np.testing.assert_allclose(grad_q, expected_grad_q, rtol=1e-12)
+
+    # Each layer's bias gradient is its output gradient's plane sums, the
+    # images' sums added in image order; at 100 x 100 pixels that is
+    # np.sum over the batch and plane axes byte for byte, under any worker
+    # count. The linear head adds its bias to each image's contraction.
+    def test_bias_gradients_are_the_plane_sums(self, under_workers):
+        rng = np.random.default_rng(9)
+        x, q, idx = rng.random((3, 25, 100, 100)), rng.random((3, 25)), np.array([2, 0])
+        linear, mlp = make_head("linear", 5, 3, make_generator(3)), make_head("mlp", 5, 3, make_generator(4))
+        for head in (linear, mlp.layer1, mlp.layer2):
+            head.bias[...] = rng.normal(size=head.bias.shape)
+        d_logits = rng.normal(size=(2, 5, 100, 100))
+
+        def run():
+            logits, cache = linear.forward(x, q, idx)
+            grads = linear.backward(cache, d_logits)[0]
+            mlp_logits, mlp_cache = mlp.forward(x, q, idx)
+            mlp_grads = mlp.backward(mlp_cache, d_logits)[0]
+            return logits, grads, mlp_cache[3][0], mlp_grads
+
+        for logits, grads, hidden, mlp_grads in under_workers(run):
+            expected_logits = _contract_channels(linear.weight @ q, x, idx) + linear.bias[None, :, None, None]
+            assert logits.tobytes() == expected_logits.tobytes()
+            assert grads["bias"].tobytes() == np.sum(d_logits, axis=(0, 2, 3)).tobytes()
+            assert mlp_grads["b2"].tobytes() == np.sum(d_logits, axis=(0, 2, 3)).tobytes()
+            d_hidden = _contract_channels(mlp.layer2.weight.T, d_logits) * (1.0 - hidden**2)
+            assert mlp_grads["b1"].tobytes() == np.sum(d_hidden, axis=(0, 2, 3)).tobytes()
 
     def test_mlp_weight_gradients_are_the_blocked_reduction(self):
         rng = np.random.default_rng(8)
